@@ -19,8 +19,9 @@ scripted :class:`FaultSpec` entries:
     value (a silent data fault),
 ``kill``
     raise :class:`WorkerKill`, which the worker loop deliberately lets
-    terminate the thread *without* signalling the supervisor — the
-    crashed-worker scenario that deadlocked the original barrier.
+    terminate the thread (a worker process SIGKILLs itself) *without*
+    signalling the supervisor — the crashed-worker scenario that
+    deadlocked the original barrier.
 
 Specs are matched per task, optionally per round and per worker, and burn
 out after ``count`` firings, so a scenario like "task 3 fails twice on
@@ -68,8 +69,9 @@ STORAGE_OPS = (
     "cache_store", "cache_load", "checkpoint_save", "checkpoint_load",
 )
 
-#: thread-name prefix assigned by the executor to pool workers; the
-#: injector parses it to implement per-worker fault specs
+#: thread-name prefix assigned by the executor to pool workers (a worker
+#: process gives it to its main thread); the injector parses it to
+#: implement per-worker fault specs
 WORKER_THREAD_PREFIX = "rhs-worker-"
 
 
@@ -218,14 +220,21 @@ class FaultInjector:
         self, program: "GeneratedProgram"
     ) -> list[Callable[[float, np.ndarray, np.ndarray, np.ndarray], None]]:
         """Return the program's task functions wrapped with fault hooks."""
-        wrapped = []
-        for tid, fn in enumerate(program.task_callables()):
-            wrapped.append(self._wrap_one(program, tid, fn))
-        return wrapped
+        return self.wrap(
+            program.task_callables(),
+            [program.task_output_slots(tid)
+             for tid in range(program.num_tasks)],
+        )
 
-    def _wrap_one(self, program: "GeneratedProgram", task_id: int, fn):
-        slots = program.task_output_slots(task_id)
+    def wrap(self, tasks: Sequence[Callable], slots: Sequence[Sequence[int]]):
+        """Wrap task functions given as plain callables plus their output
+        slots — all a worker process has of the program."""
+        return [
+            self._wrap_one(tid, fn, slots[tid])
+            for tid, fn in enumerate(tasks)
+        ]
 
+    def _wrap_one(self, task_id: int, fn, slots):
         def task(t: float, y: np.ndarray, p: np.ndarray,
                  res: np.ndarray) -> None:
             spec = self._claim(task_id)

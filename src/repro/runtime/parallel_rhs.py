@@ -74,6 +74,14 @@ class ParallelRHS:
             program.param_vector() if params is None
             else np.asarray(params, dtype=float)
         )
+        expected = program.param_vector().size
+        if self.params.size != expected:
+            # Checked here so the serial facade is covered too: native
+            # tasks read the vector through a raw pointer, unchecked.
+            raise ValueError(
+                f"parameter vector has {self.params.size} entries, program "
+                f"expects {expected}"
+            )
         if stage_chunk != "auto" and (
             not isinstance(stage_chunk, int) or stage_chunk < 1
         ):

@@ -1,30 +1,34 @@
-"""Process-based supervisor/worker execution with shared-memory state.
+"""The process transport: worker processes over shared memory and pipes.
 
 :class:`ProcessExecutor` is the multi-core counterpart of
-:class:`~repro.runtime.supervisor.ThreadedExecutor`: a pool of persistent
-OS worker *processes* evaluates the generated per-task RHS functions each
-round, sidestepping the GIL so the paper's wall-clock speedup claim can
-be measured on real hardware rather than only in the discrete-event
-simulator.
+:class:`~repro.runtime.supervisor.ThreadedExecutor`: the same round
+protocol, recovery ladder and worker loop (all in
+:mod:`repro.runtime.supervisor`), carried by a pool of persistent OS
+worker *processes* — sidestepping the GIL, so the paper's wall-clock
+speedup claim can be measured on real hardware rather than only in the
+discrete-event simulator.  This module holds only what a process needs
+and a thread does not.
 
 State exchange is the supervisor↔worker broadcast the paper times in
 section 4, implemented the cheap way Voliansky & Pranolo (arXiv:1908.02244)
 show it must be for object-level parallelism to pay off:
 
 * the state vector ``y``, parameter vector ``p``, results buffer ``res``,
-  per-task wall times and worker heartbeats all live in
-  :mod:`multiprocessing.shared_memory` blocks; workers attach NumPy views
+  per-task wall times, worker heartbeats and the K-stage blocks all live
+  in :mod:`multiprocessing.shared_memory`; workers attach NumPy views
   once at startup and never again,
-* per round the supervisor broadcasts only a tiny control tuple
-  ``(epoch, round_index, t, task_ids)`` over a per-worker duplex pipe —
-  no array ever crosses a pipe, no per-round pickling of ``y``/``res``,
+* per dispatch the supervisor sends only the tiny control message
+  (:class:`~repro.runtime.supervisor._Job`, as a plain tuple) over a
+  per-worker duplex pipe — no array ever crosses a pipe, no per-round
+  pickling of ``y``/``res``,
 * workers cannot receive live function objects (modules created via
   ``exec`` do not pickle), so each worker re-creates the generated module
   from its :class:`~repro.codegen.program.ProgramSpec` — source text plus
-  layout integers — in its own interpreter at startup.
+  layout integers — in its own interpreter at startup, and builds its own
+  :class:`~repro.runtime.faults.FaultInjector` from the pickled plan.
 
-Fault tolerance (parity with the threaded pool)
------------------------------------------------
+Liveness
+--------
 Thread ``is_alive()`` has no meaning across processes; liveness is
 instead established by a *heartbeat protocol*: every worker runs a tiny
 daemon thread bumping a per-worker counter in the shared heartbeat block
@@ -33,37 +37,28 @@ worker dead when its process has exited **or** its heartbeat has not
 advanced within ``heartbeat_timeout``.  Each worker has its own pipe, so
 a worker killed with ``SIGKILL`` mid-round cannot corrupt a shared queue
 or deadlock the barrier — its pipe simply reports EOF (or its heartbeat
-goes stale) and the supervisor fails its tasks over:
-retry on the original worker → reassignment to an idle healthy worker →
-inline execution on the supervisor → degradation to serial once fewer
-than ``min_workers`` remain, with every incident recorded in
-:class:`~repro.runtime.events.RuntimeEvents`.  Workers that out-wait the
-bounded round timeout are ``kill()``-ed before their tasks are re-run, so
-an abandoned worker can never scribble a stale result into the shared
+goes stale) and the pool core fails its tasks over.  Workers the core
+gives up on are ``kill()``-ed before their tasks are re-run, so an
+abandoned worker can never scribble a stale result into the shared
 buffer of a later round.
-
-Re-execution is bit-safe for the same reason as in the threaded pool:
-tasks are pure functions of ``(t, y, p)`` writing disjoint ``res`` slots,
-so every recovered round is bit-identical to :class:`SerialExecutor`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
-import warnings
 from multiprocessing import connection, shared_memory
 
 import numpy as np
 
 from ..codegen.program import GeneratedProgram, ProgramSpec
-from ..schedule.lpt import Schedule, lpt_schedule
 from .events import RuntimeEvents
-from .faults import FaultInjector, FaultSpec
-from .supervisor import RetryPolicy, TaskFailure, dependency_levels
+from .faults import WORKER_THREAD_PREFIX, FaultInjector, FaultSpec, WorkerKill
+from .supervisor import _Buffers, _Job, _PoolExecutor, _Reply, serve
 
 __all__ = ["ProcessExecutor", "SHM_PREFIX"]
 
@@ -79,81 +74,141 @@ MAX_STAGE_ROWS = 8
 #: abandoned round can never satisfy (or break) a later round's barrier
 _TICK_STRIDE = 1 << 20
 
-
-class _StageAbort(RuntimeError):
-    """Internal marker: this K-stage round was aborted pool-wide."""
-
-
-class _NonFiniteOutput(RuntimeError):
-    """Internal marker: a task completed but produced NaN/Inf outputs."""
+#: how long the supervisor waits for every worker's first heartbeat
+_STARTUP_TIMEOUT = 30.0
 
 
-class _WorkerFaultArbiter:
-    """Worker-side fault matching against a pickled FaultSpec plan.
+class _SharedBlocks:
+    """The pool's shared-memory segments, one ndarray view on each.
 
-    Mirrors :meth:`FaultInjector._claim` with worker-local burn-out
-    counters (process pools cannot share the supervisor's lock); specs
-    pinned to another worker never match, un-pinned specs burn out
-    independently per worker.
+    The supervisor creates them as ``<tag>_<block>``; every worker
+    attaches the same names with the same shapes.  ``kst``/``sres``/``prog``/``ctl`` exist for the
+    K-stage round protocol: known ``k`` rows in, per-stage results out,
+    the progress-vector barrier and the abort flag.
     """
 
-    def __init__(self, plan: tuple[FaultSpec, ...], worker_id: int) -> None:
-        self.plan = plan
-        self.worker_id = worker_id
-        self._remaining = {i: spec.count for i, spec in enumerate(plan)}
+    def __init__(self, tag: str, spec: ProgramSpec, num_params: int,
+                 num_workers: int, create: bool) -> None:
+        n_res = spec.num_states + spec.num_partials
+        shapes = {
+            "y": ((spec.num_states,), np.float64),
+            "p": ((num_params,), np.float64),
+            "res": ((n_res,), np.float64),
+            "times": ((spec.num_tasks,), np.float64),
+            "hb": ((num_workers,), np.int64),
+            "kst": ((MAX_STAGE_ROWS, max(1, spec.num_states)), np.float64),
+            "sres": ((MAX_STAGE_ROWS, max(1, n_res)), np.float64),
+            "prog": ((num_workers,), np.int64),
+            "ctl": ((2,), np.int64),
+        }
+        self.segments: dict[str, shared_memory.SharedMemory] = {}
+        try:
+            for key, (shape, dtype) in shapes.items():
+                # Attaching re-registers the segment with the (shared,
+                # set-backed) resource tracker — a no-op; the supervisor
+                # owns and unlinks it.
+                self.segments[key] = shared_memory.SharedMemory(
+                    name=f"{tag}_{key}", create=create,
+                    size=(max(1, int(np.prod(shape)))
+                          * np.dtype(dtype).itemsize) if create else 0,
+                )
+                view = np.ndarray(shape, dtype=dtype,
+                                  buffer=self.segments[key].buf)
+                if create:
+                    view[...] = 0
+                setattr(self, key, view)
+        except Exception:
+            if create:
+                self.release()
+            raise
 
-    def claim(self, task_id: int, round_index: int) -> FaultSpec | None:
-        for i, spec in enumerate(self.plan):
-            if spec.task_id != task_id:
-                continue
-            if (spec.round_index is not None
-                    and spec.round_index != round_index):
-                continue
-            if spec.worker is not None and spec.worker != self.worker_id:
-                continue
-            left = self._remaining[i]
-            if left == 0:
-                continue
-            if left > 0:
-                self._remaining[i] = left - 1
-            return spec
-        return None
+    def release(self) -> None:
+        """Close and unlink every segment (supervisor side)."""
+        # NumPy views pin the mapped buffer; drop them or close() raises
+        # BufferError ("cannot close exported pointers exist").
+        for key in self.segments:
+            self.__dict__.pop(key, None)
+        for shm in self.segments.values():
+            try:
+                shm.close()
+            except BufferError:  # pragma: no cover - view leaked elsewhere
+                pass
+            try:
+                shm.unlink()
+            except (FileNotFoundError, OSError):
+                pass
+        self.segments = {}
+
+
+class _ShmBarrier:
+    """``threading.Barrier``'s ``wait``/``abort`` for one K-stage chunk,
+    over shared memory.
+
+    After each dependency level the worker bumps its own (single writer)
+    ``prog`` slot and spin-waits until every participant has reached the
+    same tick.  Ticks are namespaced by epoch so a straggler from an
+    abandoned round can neither satisfy nor break a later round's
+    barrier.  Aborting publishes the epoch in the shared flag — epoch-
+    valued for the same reason — so the whole pool bails out in one
+    phase.
+    """
+
+    def __init__(self, blocks: _SharedBlocks, worker_id: int,
+                 job: _Job) -> None:
+        self.prog, self.ctl = blocks.prog, blocks.ctl
+        self.worker_id = worker_id
+        self.epoch = job.epoch
+        self.participants = job.participants
+        self.tick = job.epoch * _TICK_STRIDE
+
+    def wait(self, timeout: float) -> None:
+        prog, ctl, epoch = self.prog, self.ctl, self.epoch
+        self.tick += 1
+        tick = self.tick
+        prog[self.worker_id] = tick
+        deadline = time.monotonic() + timeout
+        spins = 0
+        while True:
+            if ctl[0] == epoch:
+                raise threading.BrokenBarrierError
+            if all(prog[w] >= tick for w in self.participants):
+                return
+            if time.monotonic() > deadline:
+                self.abort()
+                raise threading.BrokenBarrierError
+            spins += 1
+            time.sleep(0 if spins < 200 else 0.0001)
+
+    def abort(self) -> None:
+        self.ctl[0] = self.epoch
+
+
+def _sendable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pipe, else its type and text in a
+    ``RuntimeError`` — the supervisor must never fail to unpickle a
+    reply because a task raised something exotic."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def _worker_main(
     worker_id: int,
     spec: ProgramSpec,
-    shm_names: dict,
+    shm_tag: str,
     num_params: int,
     num_workers: int,
     conn,
     fault_plan: tuple[FaultSpec, ...],
     heartbeat_interval: float,
 ) -> None:
-    """Worker process entry point: attach, rebuild, serve rounds forever."""
-    # Attaching re-registers each segment with the (shared, set-backed)
-    # resource tracker — a no-op; the supervisor owns and unlinks them.
-    segments = {
-        key: shared_memory.SharedMemory(name=name)
-        for key, name in shm_names.items()
-    }
-    n_res = spec.num_states + spec.num_partials
-    y = np.ndarray((spec.num_states,), dtype=np.float64,
-                   buffer=segments["y"].buf)
-    p = np.ndarray((num_params,), dtype=np.float64,
-                   buffer=segments["p"].buf)
-    res = np.ndarray((n_res,), dtype=np.float64, buffer=segments["res"].buf)
-    times = np.ndarray((spec.num_tasks,), dtype=np.float64,
-                       buffer=segments["times"].buf)
-    heartbeats = np.ndarray((num_workers,), dtype=np.int64,
-                            buffer=segments["hb"].buf)
-    kst = np.ndarray((MAX_STAGE_ROWS, max(1, spec.num_states)),
-                     dtype=np.float64, buffer=segments["kst"].buf)
-    sres = np.ndarray((MAX_STAGE_ROWS, max(1, n_res)),
-                      dtype=np.float64, buffer=segments["sres"].buf)
-    prog = np.ndarray((num_workers,), dtype=np.int64,
-                      buffer=segments["prog"].buf)
-    ctl = np.ndarray((2,), dtype=np.int64, buffer=segments["ctl"].buf)
+    """Worker process entry point: attach, rebuild, serve jobs forever."""
+    blocks = _SharedBlocks(shm_tag, spec, num_params, num_workers,
+                           create=False)
+    # Worker-pinned fault specs match on this name, as in a thread pool.
+    threading.current_thread().name = f"{WORKER_THREAD_PREFIX}{worker_id}"
 
     # Orphan watchdog: under fork, a worker inherits the supervisor-side
     # pipe ends of workers spawned before it, so supervisor death does
@@ -164,7 +219,7 @@ def _worker_main(
 
     def beat_forever() -> None:
         while True:
-            heartbeats[worker_id] += 1
+            blocks.hb[worker_id] += 1
             if os.getppid() != supervisor_pid:
                 os._exit(2)  # reparented: the supervisor is gone
             time.sleep(heartbeat_interval)
@@ -173,915 +228,201 @@ def _worker_main(
                      name=f"heartbeat-{worker_id}").start()
 
     tasks = spec.build_tasks()
-    arbiter = _WorkerFaultArbiter(fault_plan, worker_id)
-    task_slots = spec.task_slots
-
-    def run_one(tid: int, round_index: int, ti: float, y_vec, out) -> None:
-        """One task with fault injection, against an arbitrary result row."""
-        fault = arbiter.claim(tid, round_index)
-        started = time.perf_counter()
-        if fault is None:
-            tasks[tid](ti, y_vec, p, out)
-        else:
-            if fault.mode == "raise":
-                raise RuntimeError(
-                    f"injected failure in task {tid} (round {round_index})"
-                )
-            if fault.mode == "kill":
-                if hasattr(signal, "SIGKILL"):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(1)
-            if fault.mode == "hang":
-                time.sleep(fault.hang_seconds)
-            tasks[tid](ti, y_vec, p, out)
-            if fault.mode == "nan":
-                for s in task_slots[tid]:
-                    out[s] = np.nan
-            elif fault.mode == "inf":
-                for s in task_slots[tid]:
-                    out[s] = np.inf
-            elif fault.mode == "corrupt":
-                slots = task_slots[tid]
-                target = (fault.corrupt_slot
-                          if fault.corrupt_slot is not None
-                          else (slots[0] if slots else None))
-                if target is not None:
-                    out[target] = fault.corrupt_value
-        times[tid] += time.perf_counter() - started
-
-    def serve_stages(job) -> None:
-        """One optimistic K-stage round (see ProcessExecutor.evaluate_stages).
-
-        Synchronisation is a progress-vector barrier in shared memory:
-        after each dependency level the worker bumps its own (single
-        writer) ``prog`` slot and spin-waits until every participant has
-        reached the same tick.  Ticks are namespaced by epoch so a
-        straggler from an abandoned round can neither satisfy nor break a
-        later round's barrier.  Any fault publishes the epoch in the
-        shared abort flag, so the whole pool bails out in one phase and
-        the supervisor re-runs the chunk through the hardened path.
-        """
-        (_, epoch, round_index, t, h_dir, start, stop, a_rows_t, c_t,
-         my_levels, participants, phase_timeout) = job
-        c = np.asarray(c_t, dtype=np.float64)
-        a_rows = [np.asarray(row, dtype=np.float64) for row in a_rows_t]
-        n = spec.num_states
-        # Private contiguous stage rows: matmul must see the exact serial
-        # operand layout for bit-identical results.
-        kk = np.empty((len(c), n), dtype=np.float64)
-        kk[:start] = kst[:start, :n]
-        y_stage = np.empty(n, dtype=np.float64)
-        base = epoch * _TICK_STRIDE
-        tick = 0
-        error_name: str | None = None
-        failed_tid: int | None = None
-        tid: int | None = None
-
-        def phase_barrier() -> None:
-            nonlocal tick
-            tick += 1
-            prog[worker_id] = base + tick
-            deadline = time.monotonic() + phase_timeout
-            spins = 0
-            while True:
-                if ctl[0] == epoch:
-                    raise _StageAbort
-                if all(prog[w] >= base + tick for w in participants):
-                    return
-                if time.monotonic() > deadline:
-                    ctl[0] = epoch
-                    raise _StageAbort
-                spins += 1
-                time.sleep(0 if spins < 200 else 0.0001)
-
-        try:
-            for i in range(start, stop):
-                np.matmul(kk[:i].T, a_rows[i], out=y_stage)
-                y_stage *= h_dir
-                y_stage += y
-                ti = t + c[i] * h_dir
-                row = sres[i - start]
-                for level_tasks in my_levels:
-                    for tid in level_tasks:
-                        run_one(tid, round_index, ti, y_stage, row)
-                    tid = None
-                    phase_barrier()
-                kk[i] = row[:n]
-        except _StageAbort:
-            error_name = "StageAborted"
-        except BaseException as exc:  # noqa: BLE001 - forwarded
-            ctl[0] = epoch
-            error_name = type(exc).__name__
-            failed_tid = tid
-        try:
-            # 6-tuple like the legacy reply so a stale drain can't crash
-            # the level loop's unpack; the "stages" tag lands in the
-            # epoch slot and is dropped there as a mismatch.
-            conn.send(("stages", worker_id, epoch, error_name,
-                       failed_tid, ()))
-        except (BrokenPipeError, OSError):
-            os._exit(0)
+    injector = fired = None
+    if fault_plan:
+        # Worker-local burn-out counters: process pools cannot share the
+        # supervisor's injector, so un-pinned specs burn out
+        # independently per worker.  What fires is logged here and
+        # carried home in the reply.
+        fired = RuntimeEvents()
+        injector = FaultInjector(fault_plan, events=fired)
+        tasks = injector.wrap(tasks, spec.task_slots)
+    bufs = _Buffers(blocks.y, blocks.p, blocks.res, blocks.kst, blocks.sres)
 
     while True:
         try:
-            job = conn.recv()
+            msg = conn.recv()
         except (EOFError, OSError):
             return
-        if job is None:
+        if msg is None:
             return
-        if job[0] == "stages":
-            serve_stages(job)
-            continue
-        epoch, round_index, t, task_ids = job
-        completed: list[int] = []
-        fired: list[tuple[int, str]] = []
-        error_name: str | None = None
-        failed_tid: int | None = None
-        for tid in task_ids:
-            fault = arbiter.claim(tid, round_index)
-            start = time.perf_counter()
-            try:
-                if fault is None:
-                    tasks[tid](t, y, p, res)
-                else:
-                    fired.append((tid, fault.mode))
-                    if fault.mode == "raise":
-                        raise RuntimeError(
-                            f"injected failure in task {tid} "
-                            f"(round {round_index})"
-                        )
-                    if fault.mode == "kill":
-                        # A real crash: die without any farewell message.
-                        if hasattr(signal, "SIGKILL"):
-                            os.kill(os.getpid(), signal.SIGKILL)
-                        os._exit(1)
-                    if fault.mode == "hang":
-                        time.sleep(fault.hang_seconds)
-                    tasks[tid](t, y, p, res)
-                    if fault.mode == "nan":
-                        for s in task_slots[tid]:
-                            res[s] = np.nan
-                    elif fault.mode == "inf":
-                        for s in task_slots[tid]:
-                            res[s] = np.inf
-                    elif fault.mode == "corrupt":
-                        slots = task_slots[tid]
-                        target = (fault.corrupt_slot
-                                  if fault.corrupt_slot is not None
-                                  else (slots[0] if slots else None))
-                        if target is not None:
-                            res[target] = fault.corrupt_value
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                error_name = type(exc).__name__
-                failed_tid = tid
-                break
-            times[tid] = time.perf_counter() - start
-            completed.append(tid)
+        job = _Job._make(msg)
+        if injector is not None:
+            injector.round_index = job.round_index
         try:
-            conn.send((epoch, worker_id, tuple(completed), error_name,
-                       failed_tid, tuple(fired)))
+            reply = serve(
+                job, worker_id, tasks, blocks.times, bufs,
+                _ShmBarrier(blocks, worker_id, job) if job.stop else None,
+            )
+        except WorkerKill:
+            # A real crash: die without any farewell message.
+            if hasattr(signal, "SIGKILL"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(1)
+        if reply.error is not None:
+            reply = reply._replace(error=_sendable(reply.error))
+        if fired is not None and len(fired):
+            reply = reply._replace(fired=tuple(e.data for e in fired))
+            fired.clear()
+        try:
+            conn.send(tuple(reply))
         except (BrokenPipeError, OSError):
             return
 
 
-class ProcessExecutor:
-    """Persistent worker processes executing scheduled task lists.
+class _ProcessTransport:
+    """Worker processes: jobs and replies over one duplex pipe per
+    worker, round buffers by memcpy into and out of shared memory,
+    liveness by process exit plus heartbeat, and a real ``kill``."""
 
-    Drop-in peer of :class:`~repro.runtime.supervisor.SerialExecutor` and
-    :class:`~repro.runtime.supervisor.ThreadedExecutor` behind
-    :class:`~repro.runtime.parallel_rhs.ParallelRHS`: the same
-    ``evaluate(t, y, p, res, schedule)`` contract, bit-identical numerics,
-    measured per-task times for the semi-dynamic LPT, and the same
-    retry → reassign → inline → degrade recovery ladder.  See the module
-    docstring for the shared-memory layout and heartbeat protocol.
-    """
+    max_stages = MAX_STAGE_ROWS
 
-    def __init__(
-        self,
-        program: GeneratedProgram,
-        num_workers: int,
-        *,
-        injector: FaultInjector | None = None,
-        events: RuntimeEvents | None = None,
-        retry_policy: RetryPolicy | None = None,
-        level_timeout: float = 30.0,
-        validate_outputs: bool = True,
-        min_workers: int = 1,
-        join_timeout: float = 5.0,
-        heartbeat_interval: float = 0.02,
-        heartbeat_timeout: float = 5.0,
-        start_method: str | None = None,
-        startup_timeout: float = 30.0,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        if level_timeout <= 0:
-            raise ValueError("level_timeout must be positive")
-        if min_workers < 0:
-            raise ValueError("min_workers must be non-negative")
-        if heartbeat_interval <= 0 or heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval > 0"
-            )
-        self.program = program
-        self.num_workers = num_workers
-        self._levels = dependency_levels(program.task_graph)
-        self.last_task_times = np.zeros(program.num_tasks)
-
-        self.events = events if events is not None else RuntimeEvents()
-        self.injector = injector
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.level_timeout = level_timeout
-        self.validate_outputs = validate_outputs
-        self.min_workers = min_workers
-        self.join_timeout = join_timeout
-        self.heartbeat_interval = heartbeat_interval
+    def __init__(self, program: GeneratedProgram, num_workers: int,
+                 fault_plan: tuple[FaultSpec, ...],
+                 heartbeat_interval: float,
+                 heartbeat_timeout: float) -> None:
         self.heartbeat_timeout = heartbeat_timeout
-
-        #: supervisor-side task functions (inline fallback / degraded mode)
-        self._tasks = (
-            injector.wrap_tasks(program) if injector is not None
-            else list(program.task_callables())
-        )
-        self._slots = [
-            np.asarray(program.task_output_slots(tid), dtype=int)
-            for tid in range(program.num_tasks)
-        ]
-
         spec = program.rebuild_spec()
-        self._num_params = int(program.param_vector().size)
-        n_res = program.num_states + program.num_partials
+        num_params = int(program.param_vector().size)
         tag = f"{SHM_PREFIX}_{os.getpid()}_{id(self) & 0xFFFFFF:06x}"
-        float_bytes = np.dtype(np.float64).itemsize
-        int_bytes = np.dtype(np.int64).itemsize
-        sizes = {
-            "y": max(1, program.num_states) * float_bytes,
-            "p": max(1, self._num_params) * float_bytes,
-            "res": max(1, n_res) * float_bytes,
-            "times": max(1, program.num_tasks) * float_bytes,
-            "hb": num_workers * int_bytes,
-            # K-stage round protocol: known k rows in, per-stage results
-            # out, plus the progress-vector barrier and the abort flag
-            "kst": MAX_STAGE_ROWS * max(1, program.num_states) * float_bytes,
-            "sres": MAX_STAGE_ROWS * max(1, n_res) * float_bytes,
-            "prog": num_workers * int_bytes,
-            "ctl": 2 * int_bytes,
-        }
-        self._shms: dict[str, shared_memory.SharedMemory] = {}
-        try:
-            for key, size in sizes.items():
-                self._shms[key] = shared_memory.SharedMemory(
-                    create=True, name=f"{tag}_{key}", size=size
-                )
-        except Exception:
-            self._release_shared_memory()
-            raise
-        self._y = np.ndarray((program.num_states,), dtype=np.float64,
-                             buffer=self._shms["y"].buf)
-        self._p = np.ndarray((self._num_params,), dtype=np.float64,
-                             buffer=self._shms["p"].buf)
-        self._res = np.ndarray((n_res,), dtype=np.float64,
-                               buffer=self._shms["res"].buf)
-        self._times = np.ndarray((program.num_tasks,), dtype=np.float64,
-                                 buffer=self._shms["times"].buf)
-        self._heartbeats = np.ndarray((num_workers,), dtype=np.int64,
-                                      buffer=self._shms["hb"].buf)
-        self._heartbeats[:] = 0
-        self._kst = np.ndarray(
-            (MAX_STAGE_ROWS, max(1, program.num_states)),
-            dtype=np.float64, buffer=self._shms["kst"].buf)
-        self._sres = np.ndarray(
-            (MAX_STAGE_ROWS, max(1, n_res)),
-            dtype=np.float64, buffer=self._shms["sres"].buf)
-        self._prog = np.ndarray((num_workers,), dtype=np.int64,
-                                buffer=self._shms["prog"].buf)
-        self._ctl = np.ndarray((2,), dtype=np.int64,
-                               buffer=self._shms["ctl"].buf)
-        self._prog[:] = 0
-        self._ctl[:] = 0
-        #: rounds accumulated into last_task_times by the previous call
-        #: (K for a stage chunk, 1 for a plain round); scheduler feeds
-        #: divide by this to recover per-round task times
-        self.last_times_rounds = 1
-
-        fault_plan = tuple(injector.plan) if injector is not None else ()
-        shm_names = {k: s.name for k, s in self._shms.items()}
-        ctx = multiprocessing.get_context(start_method)
-        self._procs: list = []
+        self.blocks = _SharedBlocks(tag, spec, num_params, num_workers,
+                                    create=True)
+        self.times = self.blocks.times
+        self._num_states = program.num_states
+        self.procs: list = []
         self._conns: list = []
-        self._closing = False
-        self._epoch = 0
-        self._round = -1
-        self._dead: set[int] = set()
-        self.degraded = False
-        #: (heartbeat value, monotonic time it last advanced) per worker
-        self._hb_seen: list[tuple[int, float]] = []
+        ctx = multiprocessing.get_context()
         try:
             for w in range(num_workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(w, spec, shm_names, self._num_params, num_workers,
+                    args=(w, spec, tag, num_params, num_workers,
                           child_conn, fault_plan, heartbeat_interval),
                     daemon=True,
                     name=f"rhs-proc-{w}",
                 )
                 proc.start()
                 child_conn.close()
-                self._procs.append(proc)
+                self.procs.append(proc)
                 self._conns.append(parent_conn)
         except Exception:
-            self.close()
+            self.close(0.0)
             raise
-        now = time.monotonic()
-        self._hb_seen = [(0, now) for _ in range(num_workers)]
-        self._await_startup(startup_timeout)
+        #: (heartbeat value, monotonic time it last advanced) per worker
+        self._hb_seen = [(0, time.monotonic())] * num_workers
 
-    def _await_startup(self, timeout: float) -> None:
-        """Block until every worker's heartbeat has started (module rebuilt,
-        shared memory attached) so the first round's liveness window is not
-        charged the pool's startup cost."""
-        deadline = time.monotonic() + timeout
-        waiting = set(range(self.num_workers))
+    def await_startup(self) -> list[tuple[int, str]]:
+        """Block until every worker's heartbeat has started (module
+        rebuilt, shared memory attached) so the first round's liveness
+        window is not charged the pool's startup cost.  Returns the
+        workers that did not make it, with the reason."""
+        failed = []
+        deadline = time.monotonic() + _STARTUP_TIMEOUT
+        waiting = set(range(len(self.procs)))
         while waiting and time.monotonic() < deadline:
             for w in list(waiting):
-                if self._heartbeats[w] > 0:
+                if self.blocks.hb[w] > 0:
                     waiting.discard(w)
-                elif not self._procs[w].is_alive():
-                    self._mark_dead(w, "died during startup")
+                elif not self.procs[w].is_alive():
+                    failed.append((w, "died during startup"))
                     waiting.discard(w)
             if waiting:
                 time.sleep(0.002)
-        for w in waiting:
-            self._mark_dead(w, "startup timeout")
+        return failed + [(w, "startup timeout") for w in sorted(waiting)]
 
-    # -- liveness ---------------------------------------------------------------
+    # -- round buffers ------------------------------------------------------------
 
-    def _worker_alive(self, w: int) -> bool:
-        if w in self._dead:
+    def bind(self, y, p, res):
+        # Broadcast: one memcpy each into the shared blocks; workers see
+        # the new state without any message carrying an array.
+        blocks = self.blocks
+        blocks.y[:] = y
+        blocks.p[:] = p
+        blocks.res[:] = res
+        return _Buffers(blocks.y, blocks.p, blocks.res)
+
+    def bind_stages(self, y, p, res, k, start, nstages, participants):
+        blocks = self.blocks
+        blocks.y[:] = y
+        blocks.p[:] = p
+        blocks.kst[:start, :self._num_states] = k[:start]
+        blocks.sres[:nstages] = 0.0
+        return blocks.sres[:nstages]
+
+    def gather(self, res, times) -> None:
+        # Results and measured times come back by memcpy too.
+        if res is not None:
+            res[:] = self.blocks.res
+        times[:] = self.blocks.times
+
+    # -- messages -----------------------------------------------------------------
+
+    def send(self, worker_id: int, job: _Job) -> bool:
+        if job.stop:
+            # ndarray rows take ~25 us to pickle, float lists ~3.
+            job = job._replace(
+                a_rows=[np.asarray(row, dtype=float).tolist()
+                        for row in job.a_rows],
+                c=np.asarray(job.c, dtype=float).tolist(),
+            )
+        try:
+            self._conns[worker_id].send(tuple(job))
+            return True
+        except (BrokenPipeError, OSError):
             return False
-        if not self._procs[w].is_alive():
+
+    def replies(self, workers, timeout: float):
+        by_conn = {id(self._conns[w]): w for w in workers}
+        arrived = []
+        for conn in connection.wait(
+            [self._conns[w] for w in workers], timeout=timeout
+        ):
+            try:
+                arrived.append((by_conn[id(conn)], _Reply._make(conn.recv())))
+            except (EOFError, OSError):
+                arrived.append((by_conn[id(conn)], None))
+        return arrived
+
+    # -- liveness -----------------------------------------------------------------
+
+    def alive(self, worker_id: int) -> bool:
+        if not self.procs[worker_id].is_alive():
             return False
-        value = int(self._heartbeats[w])
-        seen, since = self._hb_seen[w]
+        value = int(self.blocks.hb[worker_id])
+        seen, since = self._hb_seen[worker_id]
         now = time.monotonic()
         if value != seen:
-            self._hb_seen[w] = (value, now)
+            self._hb_seen[worker_id] = (value, now)
             return True
         return (now - since) <= self.heartbeat_timeout
 
-    def _healthy_workers(self) -> list[int]:
-        return [w for w in range(self.num_workers) if self._worker_alive(w)]
+    def why_dead(self, worker_id: int) -> str:
+        return ("heartbeat lost" if self.procs[worker_id].is_alive()
+                else "process exited")
 
-    def _mark_dead(self, worker_id: int, reason: str) -> None:
-        if worker_id in self._dead:
-            return
-        self._dead.add(worker_id)
-        # Make death final: an abandoned-but-running worker must never
-        # write a stale result into the shared buffer of a later round.
-        proc = self._procs[worker_id] if self._procs else None
-        if proc is not None and proc.is_alive():
-            proc.kill()
-        self.events.record("worker_dead", worker=worker_id, reason=reason)
-        if (not self.degraded
-                and len(self._healthy_workers()) < max(self.min_workers, 1)):
-            self.degraded = True
-            self.events.record(
-                "degraded", healthy=len(self._healthy_workers()),
-                min_workers=self.min_workers,
-            )
-            warnings.warn(
-                "ProcessExecutor degraded to serial execution: "
-                f"{len(self._dead)} of {self.num_workers} workers dead",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    def kill(self, worker_id: int) -> None:
+        if self.procs[worker_id].is_alive():
+            self.procs[worker_id].kill()
 
-    # -- supervisor-side helpers -----------------------------------------------
+    def abort_stages(self, epoch: int) -> None:
+        self.blocks.ctl[0] = epoch
 
-    def _validate_task_outputs(self, tid: int) -> None:
-        slots = self._slots[tid]
-        if slots.size and not np.all(np.isfinite(self._res[slots])):
-            raise _NonFiniteOutput(f"task {tid} produced non-finite output")
-
-    def _run_inline(self, tid: int, t: float) -> None:
-        """Execute one task on the supervisor (last-resort and degraded
-        paths), against the shared-memory views, with timing + validation."""
-        start = time.perf_counter()
-        self._tasks[tid](t, self._y, self._p, self._res)
-        self._times[tid] = time.perf_counter() - start
-        if self.validate_outputs:
-            self._validate_task_outputs(tid)
-
-    def _run_level_serial(self, level: list[int], t: float) -> None:
-        for tid in level:
-            try:
-                self._run_inline(tid, t)
-            except _NonFiniteOutput as exc:
-                raise TaskFailure(tid, exc, "non-finite output") from exc
-            except Exception as exc:
-                raise TaskFailure(tid, exc) from exc
-
-    # -- the hardened barrier ---------------------------------------------------
-
-    def _run_level(self, level: list[int], assignment, t: float,
-                   round_index: int) -> None:
-        policy = self.retry_policy
-        self._epoch += 1
-        epoch = self._epoch
-
-        # Sweep before dispatch so a worker that died *between* rounds is
-        # recorded as dead (not just silently remapped around).
-        for w in range(self.num_workers):
-            if w not in self._dead and not self._worker_alive(w):
-                self._mark_dead(
-                    w,
-                    "heartbeat lost" if self._procs[w].is_alive()
-                    else "process exited",
-                )
-
-        healthy = set(self._healthy_workers())
-        outstanding: dict[int, list[int]] = {}
-        pending: dict[int, list[int]] = {}
-        for tid in level:
-            w = assignment[tid]
-            if w not in healthy:
-                w = min(healthy, key=lambda h: len(pending.get(h, [])),
-                        default=-1)
-            pending.setdefault(w, []).append(tid)
-
-        inline_tasks = pending.pop(-1, [])
-        attempts: dict[int, int] = {tid: 0 for tid in level}
-        reassigned: set[int] = set()
-
-        def dispatch(worker_id: int, task_ids: list[int]) -> None:
-            outstanding[worker_id] = list(task_ids)
-            try:
-                self._conns[worker_id].send(
-                    (epoch, round_index, t, tuple(task_ids))
-                )
-            except (BrokenPipeError, OSError):
-                outstanding.pop(worker_id, None)
-                self._mark_dead(worker_id, "pipe closed")
-                fail_over(task_ids, worker_id, None)
-
-        def fail_over(task_ids: list[int], from_worker: int,
-                      cause: BaseException | None) -> None:
-            """Move tasks off ``from_worker`` (reassign or run inline)."""
-            if not task_ids:
-                return
-            targets = [w for w in self._healthy_workers()
-                       if w not in outstanding]
-            fresh = [tid for tid in task_ids if tid not in reassigned]
-            burnt = [tid for tid in task_ids if tid in reassigned]
-            if fresh and targets:
-                target = targets[0]
-                for tid in fresh:
-                    reassigned.add(tid)
-                    attempts[tid] = 0
-                self.events.record(
-                    "task_reassigned", tasks=tuple(fresh),
-                    from_worker=from_worker, to_worker=target,
-                )
-                dispatch(target, fresh)
-            else:
-                burnt = burnt + (fresh if not targets else [])
-            if burnt:
-                self.events.record(
-                    "task_inline", tasks=tuple(burnt),
-                    from_worker=from_worker,
-                )
-            for tid in burnt:
-                try:
-                    self._run_inline(tid, t)
-                except _NonFiniteOutput as exc:
-                    raise TaskFailure(
-                        tid, cause or exc, "non-finite output"
-                    ) from exc
-                except Exception as exc:
-                    raise TaskFailure(tid, exc) from exc
-
-        for w, task_ids in list(pending.items()):
-            dispatch(w, task_ids)
-        fail_over(inline_tasks, -1, None)
-
-        deadline = time.monotonic() + self.level_timeout
-        while outstanding:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # Round timeout: every still-outstanding worker is hung.
-                # Kill and fail over; the kill makes stale writes impossible.
-                for w in list(outstanding):
-                    self.events.record(
-                        "worker_timeout", worker=w,
-                        tasks=tuple(outstanding[w]),
-                        timeout=self.level_timeout,
-                    )
-                    task_ids = outstanding.pop(w)
-                    self._mark_dead(w, "round timeout")
-                    fail_over(task_ids, w, None)
-                deadline = time.monotonic() + self.level_timeout
-                continue
-
-            ready = connection.wait(
-                [self._conns[w] for w in outstanding],
-                timeout=min(remaining, 0.05),
-            )
-            if not ready:
-                # Heartbeat/liveness sweep: a SIGKILL'd worker never
-                # replies; its process exit (or stale heartbeat) is the
-                # only signal the supervisor gets.
-                for w in list(outstanding):
-                    if not self._worker_alive(w):
-                        task_ids = outstanding.pop(w)
-                        self._mark_dead(w, "heartbeat lost")
-                        fail_over(task_ids, w, None)
-                continue
-
-            conn_to_worker = {id(self._conns[w]): w for w in outstanding}
-            for conn in ready:
-                w = conn_to_worker.get(id(conn))
-                if w is None or w not in outstanding:
-                    continue
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    task_ids = outstanding.pop(w)
-                    self._mark_dead(w, "process exited")
-                    fail_over(task_ids, w, None)
-                    continue
-                msg_epoch, mw, completed, error_name, failed_tid, fired = msg
-                if msg_epoch != epoch or mw != w:
-                    continue  # stale reply from an abandoned level
-                task_ids = outstanding.pop(w)
-                for ftid, mode in fired:
-                    self.events.record(
-                        "fault_injected", task=ftid, mode=mode,
-                        round=round_index, worker=w,
-                    )
-
-                bad_output: int | None = None
-                if self.validate_outputs:
-                    for tid in completed:
-                        try:
-                            self._validate_task_outputs(tid)
-                        except _NonFiniteOutput:
-                            bad_output = tid
-                            error_name = "_NonFiniteOutput"
-                            failed_tid = tid
-                            self.events.record(
-                                "task_nonfinite", task=tid, worker=w,
-                            )
-                            break
-
-                if error_name is None and bad_output is None:
-                    continue  # worker finished its list cleanly
-
-                assert failed_tid is not None
-                if bad_output is None:
-                    self.events.record(
-                        "task_error", task=failed_tid, worker=w,
-                        error=error_name,
-                    )
-                done_ok = (tuple(completed) if bad_output is None
-                           else tuple(completed[: completed.index(bad_output)]))
-                still_todo = [tid for tid in task_ids if tid not in done_ok]
-                attempts[failed_tid] += 1
-
-                if (attempts[failed_tid] < policy.max_attempts
-                        and self._worker_alive(w)):
-                    delay = policy.delay(attempts[failed_tid])
-                    if delay > 0:
-                        time.sleep(delay)
-                    self.events.record(
-                        "task_retry", task=failed_tid, worker=w,
-                        attempt=attempts[failed_tid] + 1,
-                    )
-                    dispatch(w, still_todo)
-                else:
-                    fail_over(still_todo, w, None)
-
-    # -- public API -------------------------------------------------------------
-
-    def evaluate(
-        self,
-        t: float,
-        y: np.ndarray,
-        p: np.ndarray,
-        res: np.ndarray,
-        schedule: Schedule | None = None,
-    ) -> None:
-        """Run one RHS round under ``schedule`` (defaults to LPT)."""
-        if self._closing:
-            raise RuntimeError("executor is closed")
-        if schedule is None:
-            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
-        if schedule.num_workers != self.num_workers:
-            raise ValueError(
-                f"schedule is for {schedule.num_workers} workers, pool has "
-                f"{self.num_workers}"
-            )
-        p = np.asarray(p, dtype=float)
-        if p.size != self._num_params:
-            raise ValueError(
-                f"parameter vector has {p.size} entries, program expects "
-                f"{self._num_params}"
-            )
-        # Broadcast: one memcpy each into the shared blocks; workers see
-        # the new state without any message carrying an array.
-        self._y[:] = y
-        self._p[:] = p
-        self._res[:] = res
-        self._times[:] = 0.0
-        self._round += 1
-        round_index = (
-            self.injector.begin_round() if self.injector is not None
-            else self._round
-        )
-        try:
-            if self.degraded or not self._healthy_workers():
-                if not self.degraded:
-                    self.degraded = True
-                    self.events.record("degraded", healthy=0,
-                                       min_workers=self.min_workers)
-                for level in self._levels:
-                    self._run_level_serial(level, t)
-            else:
-                for level in self._levels:
-                    if self.degraded:
-                        self._run_level_serial(level, t)
-                    else:
-                        self._run_level(level, schedule.assignment, t,
-                                        round_index)
-        finally:
-            # Gather: results and measured times come back by memcpy too.
-            res[:] = self._res
-            self.last_task_times[:] = self._times
-            self.last_times_rounds = 1
-
-    # -- K-stage rounds ---------------------------------------------------------
-
-    def _fallback_stages(
-        self, t, y, p, k, a_rows, c, h_dir, start, stop, res, schedule,
-    ) -> None:
-        """Pessimistic path: one hardened ``evaluate`` round per stage,
-        recomputing stage state with the exact serial operand layout so
-        recovered chunks stay bit-identical."""
-        n = self.program.num_states
-        y_stage = np.empty(n, dtype=float)
-        for i in range(start, stop):
-            np.matmul(k[:i].T, a_rows[i], out=y_stage)
-            y_stage *= h_dir
-            y_stage += y
-            res.fill(0.0)
-            self.evaluate(t + c[i] * h_dir, y_stage, p, res, schedule)
-            k[i] = res[:n]
-        self.last_times_rounds = 1
-
-    def evaluate_stages(
-        self, t: float, y: np.ndarray, p: np.ndarray, k: np.ndarray,
-        a_rows, c, h_dir: float, start: int, stop: int, res: np.ndarray,
-        schedule: Schedule | None = None,
-    ) -> None:
-        """Evaluate RK stages ``start .. stop-1`` with one pipe message per
-        worker instead of one per stage.
-
-        The optimistic fast path ships the whole chunk up front: workers
-        advance stage-local state themselves and synchronise per
-        dependency level through the shared progress vector — no
-        supervisor round-trip, no array ever crossing a pipe.  On ANY
-        fault (worker death, stale heartbeat, exception, barrier timeout,
-        non-finite output) the round aborts via the shared flag and the
-        chunk re-runs through :meth:`_fallback_stages`, which preserves
-        the full retry → reassign → inline → degrade ladder.  Safe
-        because tasks are pure functions of ``(t, y, p)`` writing
-        disjoint slots: re-execution writes the same bytes.
-        """
-        if self._closing:
-            raise RuntimeError("executor is closed")
-        if stop <= start:
-            return
-        if schedule is None:
-            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
-        if schedule.num_workers != self.num_workers:
-            raise ValueError(
-                f"schedule is for {schedule.num_workers} workers, pool has "
-                f"{self.num_workers}"
-            )
-        p = np.asarray(p, dtype=float)
-        if p.size != self._num_params:
-            raise ValueError(
-                f"parameter vector has {p.size} entries, program expects "
-                f"{self._num_params}"
-            )
-        self._round += 1
-        round_index = (
-            self.injector.begin_round() if self.injector is not None
-            else self._round
-        )
-        # Sweep before dispatch so a worker that died between rounds is
-        # recorded as dead, not just silently remapped around.
-        for w in range(self.num_workers):
-            if w not in self._dead and not self._worker_alive(w):
-                self._mark_dead(
-                    w,
-                    "heartbeat lost" if self._procs[w].is_alive()
-                    else "process exited",
-                )
-        healthy = self._healthy_workers()
-        if (self.degraded or not healthy or len(c) > MAX_STAGE_ROWS):
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
-            return
-
-        # Per-worker task lists per level (dead workers' tasks remapped).
-        alive = set(healthy)
-        num_levels = len(self._levels)
-        worker_levels: dict[int, list[list[int]]] = {}
-        for li, level in enumerate(self._levels):
-            for tid in level:
-                w = schedule.assignment[tid]
-                if w not in alive:
-                    w = min(alive, key=lambda h: sum(
-                        len(lv) for lv in worker_levels.get(h, ())
-                    ))
-                rows = worker_levels.setdefault(
-                    w, [[] for _ in range(num_levels)]
-                )
-                rows[li].append(tid)
-        participants = sorted(worker_levels)
-        if not participants:
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
-            return
-
-        nstages = stop - start
-        n = self.program.num_states
-        # Broadcast: state, parameters and known stage rows by memcpy.
-        self._y[:] = y
-        self._p[:] = p
-        self._kst[:start, :n] = k[:start]
-        self._sres[:nstages] = 0.0
-        self._times[:] = 0.0
-        self._epoch += 1
-        epoch = self._epoch
-        a_rows_t = tuple(tuple(float(v) for v in row) for row in a_rows)
-        c_t = tuple(float(v) for v in c)
-        ok = True
-        waiting: set[int] = set()
-        for w in participants:
-            try:
-                self._conns[w].send((
-                    "stages", epoch, round_index, float(t), float(h_dir),
-                    start, stop, a_rows_t, c_t,
-                    tuple(tuple(lv) for lv in worker_levels[w]),
-                    tuple(participants), self.level_timeout,
-                ))
-                waiting.add(w)
-            except (BrokenPipeError, OSError):
-                self._mark_dead(w, "pipe closed")
-                ok = False
-        if not ok:
-            self._ctl[0] = epoch  # missing participant: break the barrier
-
-        deadline = (time.monotonic()
-                    + self.level_timeout * nstages * num_levels + 1.0)
-        while ok and waiting:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                ok = False
-                break
-            ready = connection.wait(
-                [self._conns[w] for w in waiting],
-                timeout=min(remaining, 0.05),
-            )
-            if not ready:
-                for w in list(waiting):
-                    if not self._worker_alive(w):
-                        # A crashed participant never replies and never
-                        # reaches the barrier; break it for the others.
-                        # Its tasks move to the survivors when the chunk
-                        # re-runs through the hardened path.
-                        waiting.discard(w)
-                        self._mark_dead(w, "heartbeat lost")
-                        self.events.record(
-                            "task_reassigned",
-                            tasks=tuple(tid for lv in worker_levels[w]
-                                        for tid in lv),
-                            from_worker=w, to_worker=-1,
-                        )
-                        ok = False
-                continue
-            conn_to_worker = {id(self._conns[w]): w for w in waiting}
-            for conn in ready:
-                w = conn_to_worker.get(id(conn))
-                if w is None or w not in waiting:
-                    continue
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    waiting.discard(w)
-                    self._mark_dead(w, "process exited")
-                    ok = False
-                    continue
-                if msg[0] != "stages":
-                    continue  # stale legacy reply from an abandoned level
-                _, mw, msg_epoch, error_name, failed_tid, _ = msg
-                if msg_epoch != epoch or mw != w:
-                    continue  # straggler from an abandoned stage round
-                waiting.discard(w)
-                if error_name is not None:
-                    ok = False
-                    if error_name != "StageAborted":
-                        self.events.record(
-                            "stage_task_error", task=failed_tid, worker=w,
-                            error=error_name,
-                        )
-        if ok and self.validate_outputs and not np.all(
-            np.isfinite(self._sres[:nstages])
-        ):
-            ok = False
-            self.events.record("stage_nonfinite", start=start, stop=stop)
-        if not ok:
-            self._ctl[0] = epoch  # release any participant still spinning
-            self.events.record("stage_round_aborted", start=start, stop=stop)
-            # Bump the epoch so straggler replies are recognisably stale.
-            self._epoch += 1
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
-            return
-        k[start:stop] = self._sres[:nstages, :n]
-        res[:] = self._sres[nstages - 1]
-        self.last_task_times[:] = self._times
-        self.last_times_rounds = nstages
-
-    def measure_dispatch_overhead(self, trials: int = 5) -> float:
-        """One-shot microcalibration: seconds per empty dispatch round.
-
-        Times a full supervisor→workers→supervisor pipe round-trip
-        carrying no tasks — the fixed cost every per-stage round pays,
-        and what the K-stage auto-tuner amortises."""
-        healthy = self._healthy_workers()
-        if self.degraded or not healthy:
-            return 0.0
-        samples = []
-        for _ in range(max(1, trials)):
-            self._epoch += 1
-            epoch = self._epoch
-            t0 = time.perf_counter()
-            waiting = set()
-            for w in healthy:
-                try:
-                    self._conns[w].send((epoch, self._round, 0.0, ()))
-                    waiting.add(w)
-                except (BrokenPipeError, OSError):
-                    self._mark_dead(w, "pipe closed")
-            deadline = time.monotonic() + self.level_timeout
-            while waiting and time.monotonic() < deadline:
-                ready = connection.wait(
-                    [self._conns[w] for w in waiting], timeout=0.05,
-                )
-                if not ready:
-                    waiting = {w for w in waiting if self._worker_alive(w)}
-                    continue
-                conn_to_worker = {id(self._conns[w]): w for w in waiting}
-                for conn in ready:
-                    w = conn_to_worker.get(id(conn))
-                    if w is None:
-                        continue
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        waiting.discard(w)
-                        continue
-                    if msg[0] == epoch and msg[1] == w:
-                        waiting.discard(w)
-            samples.append(time.perf_counter() - t0)
-            healthy = [w for w in healthy if self._worker_alive(w)]
-            if not healthy:
-                break
-        return float(np.median(samples))
-
-    def close(self) -> None:
-        """Shut the pool down; idempotent and safe under a half-dead pool.
-
-        Live workers get a farewell ``None`` and ``join_timeout`` to exit;
-        stragglers are killed (processes, unlike threads, can be).  All
-        shared-memory segments are closed and unlinked, so a clean close
-        leaks nothing into ``/dev/shm``."""
-        if self._closing:
-            return
-        self._closing = True
+    def close(self, join_timeout: float) -> list[int]:
+        """Live workers get a farewell ``None`` and ``join_timeout`` to
+        exit; stragglers are killed (processes, unlike threads, can be).
+        All shared-memory segments are closed and unlinked, so a clean
+        close leaks nothing into ``/dev/shm``."""
         for conn in self._conns:
             try:
                 conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        for w, proc in enumerate(self._procs):
-            proc.join(timeout=self.join_timeout)
+        stragglers = []
+        for w, proc in enumerate(self.procs):
+            proc.join(timeout=join_timeout)
             if proc.is_alive():
-                self.events.record("close_timeout", worker=w,
-                                   timeout=self.join_timeout)
+                stragglers.append(w)
                 proc.kill()
                 proc.join(timeout=1.0)
         for conn in self._conns:
@@ -1089,34 +430,46 @@ class ProcessExecutor:
                 conn.close()
             except OSError:
                 pass
-        self._release_shared_memory()
+        self.times = None
+        self.blocks.release()
+        return stragglers
 
-    def _release_shared_memory(self) -> None:
-        # NumPy views pin the mapped buffer; drop them or close() raises
-        # BufferError ("cannot close exported pointers exist").
-        self._y = self._p = self._res = None
-        self._times = self._heartbeats = None
-        self._kst = self._sres = self._prog = self._ctl = None
-        for shm in self._shms.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view leaked elsewhere
-                pass
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        self._shms = {}
 
-    def __enter__(self) -> "ProcessExecutor":
-        return self
+class ProcessExecutor(_PoolExecutor):
+    """Persistent worker processes executing scheduled task lists: the
+    round protocol of :class:`~repro.runtime.supervisor._PoolExecutor`
+    over the process transport.
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    Drop-in peer of :class:`~repro.runtime.supervisor.SerialExecutor` and
+    :class:`~repro.runtime.supervisor.ThreadedExecutor` behind
+    :class:`~repro.runtime.parallel_rhs.ParallelRHS`: the same
+    ``evaluate(t, y, p, res, schedule)`` contract, bit-identical numerics,
+    measured per-task times for the semi-dynamic LPT, and the same
+    retry → reassign → inline → degrade recovery ladder.  Takes
+    ``ThreadedExecutor``'s options plus the two heartbeat settings; see
+    the module docstring for the shared-memory layout and heartbeat
+    protocol.
+    """
 
-    def __del__(self) -> None:  # best-effort leak guard
-        try:
-            if not self._closing:
-                self.close()
-        except Exception:
-            pass
+    def __init__(
+        self,
+        program: GeneratedProgram,
+        num_workers: int,
+        *,
+        heartbeat_interval: float = 0.02,
+        heartbeat_timeout: float = 5.0,
+        **options,
+    ) -> None:
+        if heartbeat_interval <= 0 or heartbeat_timeout <= heartbeat_interval:
+            raise ValueError(
+                "heartbeat_timeout must exceed heartbeat_interval > 0"
+            )
+        super().__init__(program, num_workers, **options)
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
+        plan = tuple(self.injector.plan) if self.injector is not None else ()
+        self._transport = _ProcessTransport(
+            program, num_workers, plan, heartbeat_interval, heartbeat_timeout
+        )
+        for w, reason in self._transport.await_startup():
+            self._mark_dead(w, reason)

@@ -1,27 +1,41 @@
 """Real supervisor/worker execution of generated task functions.
 
 This is the executable counterpart of the simulator: a pool of persistent
-worker threads evaluates the generated per-task RHS functions each round,
-writing into disjoint slots of a shared results buffer (so no locking is
-needed), with a barrier between dependency levels (partial-sum tasks
-before their combining tasks).
+workers evaluates the generated per-task RHS functions each round, writing
+into disjoint slots of a shared results buffer (so no locking is needed),
+with a barrier between dependency levels (partial-sum tasks before their
+combining tasks).
+
+The paper runs this one scheme (section 3.2.3) on a shared-memory machine
+and on a message-passing one; only the message transport differs.  So
+does this module: :class:`_PoolExecutor` holds the round protocol once —
+dispatch, the hardened level barrier, the recovery ladder, K-stage rounds
+— and :func:`serve` holds the worker side once.  A *transport* supplies
+what really differs between kinds of worker: how round buffers are bound
+and gathered, how a job reaches a worker and a reply comes back, how
+liveness is established, how a worker is killed, and the in-round stage
+barrier.  :class:`ThreadedExecutor` picks the thread transport below
+(queues, the caller's ndarrays, ``threading.Barrier``);
+:class:`~repro.runtime.process_executor.ProcessExecutor` picks the
+process transport (pipes, POSIX shared memory, heartbeats).
+:class:`SerialExecutor` is the independent one-processor oracle both
+must match bit for bit.
 
 Under the CPython GIL the *threaded* pool yields concurrency, not
-wall-clock speedup; it exists to run the actual protocol end-to-end —
-real schedules, real per-task timings for the semi-dynamic LPT, and
-bit-identical numerics versus the serial RHS.  Real multi-core speedup
-is the job of :class:`~repro.runtime.process_executor.ProcessExecutor`,
-which runs the same protocol over OS processes with shared-memory state
-exchange; the discrete-event :mod:`repro.runtime.simulator` remains the
-way to study machines larger than the host.
+wall-clock speedup, unless the tasks are native (``backend="c"`` releases
+the GIL); it exists to run the actual protocol end-to-end — real
+schedules, real per-task timings for the semi-dynamic LPT, and
+bit-identical numerics versus the serial RHS.  The discrete-event
+:mod:`repro.runtime.simulator` remains the way to study machines larger
+than the host.
 
 Fault tolerance
 ---------------
 The original protocol assumed every worker finishes every round; a single
 crashed or hung worker deadlocked the supervisor at the level barrier.
-The hardened :class:`ThreadedExecutor` instead:
+The pool instead:
 
-* waits on the barrier with a bounded timeout and checks worker-thread
+* waits on the barrier with a bounded timeout and checks worker
   liveness, so a dead worker is detected rather than waited on forever,
 * re-runs a failed task on its original worker under a
   :class:`RetryPolicy` (bounded attempts + exponential backoff), then
@@ -29,6 +43,8 @@ The hardened :class:`ThreadedExecutor` instead:
   supervisor, before finally declaring the round unrecoverable,
 * validates each task's output slots for NaN/Inf before the barrier
   releases (silent numerical faults become retryable task failures),
+* kills (where the transport can) every worker it gives up on, so an
+  abandoned worker cannot write a stale result into a later round,
 * degrades the pool to :class:`SerialExecutor` semantics — all tasks run
   inline on the supervisor thread — once too many workers have died,
 * records every fault, retry, reassignment, death and degradation in a
@@ -43,17 +59,19 @@ bytes, which is what keeps recovered rounds bit-identical to
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..codegen.program import GeneratedProgram
 from ..schedule.lpt import Schedule, lpt_schedule
 from .events import RuntimeEvents
-from .faults import FaultInjector, WorkerKill
+from .faults import WORKER_THREAD_PREFIX, FaultInjector, WorkerKill
 
 __all__ = [
     "RetryPolicy",
@@ -138,6 +156,39 @@ class RetryPolicy:
                    self.max_backoff)
 
 
+def _stage_state(k: np.ndarray, i: int, a_rows, h_dir: float,
+                 y: np.ndarray, out: np.ndarray) -> None:
+    """``out = y + h_dir * (k[:i].T @ a_rows[i])``, formed exactly as the
+    serial solver loop forms it: the same contiguous ``k`` layout feeds
+    the same ``matmul``, which is what keeps every executor bit-identical
+    to it."""
+    np.matmul(k[:i].T, a_rows[i], out=out)
+    out *= h_dir
+    out += y
+
+
+def _evaluate_stagewise(
+    executor, t, y, p, k, a_rows, c, h_dir, start, stop, res, schedule,
+) -> None:
+    """Runge–Kutta stages ``start .. stop-1``, one ``executor.evaluate``
+    round per stage, filling rows of ``k`` in place.
+
+    This is :meth:`SerialExecutor.evaluate_stages` and the pessimistic
+    path of the pools: every stage goes through the executor's own
+    ``evaluate``, so on a pool an aborted optimistic round loses only its
+    head start, never any fault tolerance.  The stage state is recomputed
+    from the caller's ``k``, so recovered chunks stay bit-identical.
+    """
+    n = executor.program.num_states
+    y_stage = np.empty(n, dtype=float)
+    for i in range(start, stop):
+        _stage_state(k, i, a_rows, h_dir, y, y_stage)
+        res.fill(0.0)
+        executor.evaluate(t + c[i] * h_dir, y_stage, p, res, schedule)
+        k[i] = res[:n]
+    executor.last_times_rounds = 1
+
+
 class SerialExecutor:
     """Evaluates all tasks in the supervisor thread (the 1-processor case),
     measuring per-task wall times for the semi-dynamic scheduler."""
@@ -191,27 +242,17 @@ class SerialExecutor:
 
         This is the reference shape of the K-stage round protocol every
         executor implements: stage ``i`` evaluates the RHS at
-        ``y + h_dir * (k[:i].T @ a_rows[i])`` — bit-identical to the
-        serial solver loop, since the same contiguous ``k`` layout feeds
-        the same ``matmul``.  On one processor there is no round-trip to
-        amortise, so this is simply the per-stage loop.
+        ``y + h_dir * (k[:i].T @ a_rows[i])``.  On one processor there is
+        no round-trip to amortise, so this is simply the per-stage loop.
         """
-        n = self.program.num_states
-        y_stage = np.empty(n, dtype=float)
-        for i in range(start, stop):
-            np.matmul(k[:i].T, a_rows[i], out=y_stage)
-            y_stage *= h_dir
-            y_stage += y
-            res.fill(0.0)
-            self.evaluate(t + c[i] * h_dir, y_stage, p, res, schedule)
-            k[i] = res[:n]
-        self.last_times_rounds = 1
+        _evaluate_stagewise(self, t, y, p, k, a_rows, c, h_dir, start, stop,
+                            res, schedule)
 
     def measure_dispatch_overhead(self, trials: int = 5) -> float:
         """Per-round dispatch cost: zero for in-thread evaluation."""
         return 0.0
 
-    def close(self) -> None:  # symmetry with ThreadedExecutor
+    def close(self) -> None:  # symmetry with the pools
         pass
 
     def __enter__(self) -> "SerialExecutor":
@@ -221,39 +262,167 @@ class SerialExecutor:
         self.close()
 
 
-@dataclass
-class _StageRound:
-    """Everything one worker needs for an optimistic K-stage round."""
+# -- the round protocol: what crosses the transport -----------------------------
 
+
+class _Job(NamedTuple):
+    """One dispatch to one worker: the control message, and all of it.
+
+    No array is in it — the arrays of a round are bound by the transport
+    — so it is also exactly what crosses a pipe.  ``stop == 0`` is a
+    plain round: ``tasks`` is this worker's task ids for one dependency
+    level.  Otherwise it is an optimistic K-stage chunk and ``tasks``
+    holds one tuple of task ids per dependency level — empty ones
+    included, so every participant performs the same number of barrier
+    waits.
+    """
+
+    epoch: int
+    round_index: int
     t: float
-    h_dir: float
-    start: int
-    stop: int
-    a_rows: list
-    c: np.ndarray
+    tasks: tuple
+    h_dir: float = 0.0
+    start: int = 0
+    stop: int = 0
+    a_rows: tuple = ()
+    c: tuple = ()
+    participants: tuple = ()
+    #: bound on one in-round barrier wait, seconds
+    timeout: float = 0.0
+
+
+class _Reply(NamedTuple):
+    """A worker's answer to one :class:`_Job`."""
+
+    epoch: int
+    worker: int
+    #: plain rounds: the task ids that finished, in order
+    completed: tuple
+    error: BaseException | None
+    failed_tid: int | None
+    #: payloads of ``fault_injected`` events of an injector the
+    #: supervisor cannot see (one living in a worker process)
+    fired: tuple = ()
+
+
+class _Buffers(NamedTuple):
+    """The arrays one worker evaluates a job against."""
+
     y: np.ndarray
     p: np.ndarray
-    #: caller's stage array; rows ``[:start]`` are the already-known stages
-    k_base: np.ndarray
-    #: shared per-stage results buffers, shape (stop-start, n + partials)
-    res_stages: np.ndarray
-    barrier: threading.Barrier
-    #: this worker's task ids per dependency level (empty lists included,
-    #: so every participant performs the same number of barrier waits)
-    my_levels: list
-    n: int
+    res: np.ndarray | None
+    #: K-stage chunks: the already-known stage rows ``[:start]``
+    k: np.ndarray | None = None
+    #: K-stage chunks: one results row per stage of the chunk
+    stage_res: np.ndarray | None = None
 
 
-class ThreadedExecutor:
-    """Persistent worker threads executing scheduled task lists.
+def serve(job: _Job, worker_id: int, tasks, times: np.ndarray,
+          bufs: _Buffers, barrier) -> _Reply:
+    """The worker side of the protocol: run one job, return its reply.
 
-    Each round the supervisor publishes ``(t, y, p, res)`` to every worker
-    along with its task list for the current dependency level; a barrier
-    separates levels.  Results land in disjoint ``res`` slots.
+    Both transports run this same function — as the thread target's body
+    and inside the worker process's main loop — and it calls the task
+    callables directly; the transport is crossed once per job, never per
+    task.  ``barrier`` has ``threading.Barrier``'s ``wait(timeout)`` and
+    ``abort()`` and is only used by K-stage chunks.
+
+    In a K-stage chunk every participating worker advances the stage
+    state itself and meets the others at ``barrier`` after each
+    dependency level — no supervisor round-trip between stages.  It
+    keeps a *private contiguous* copy ``kk`` of the stage rows so its
+    ``matmul`` sees exactly the serial solver's operand layout
+    (bit-identity).  Any fault aborts the barrier, so the whole pool
+    bails out in one phase and the supervisor re-runs the chunk through
+    the hardened per-stage path.
+
+    :class:`WorkerKill` (a simulated crash) propagates: the caller must
+    die without a farewell message — exactly the failure the liveness
+    check and the bounded barrier exist to survive.
+    """
+    completed: list[int] = []
+    error: BaseException | None = None
+    failed_tid: int | None = None
+    tid = None
+    try:
+        y, p = bufs.y, bufs.p
+        if not job.stop:
+            t, res = job.t, bufs.res
+            for tid in job.tasks:
+                started = time.perf_counter()
+                tasks[tid](t, y, p, res)
+                times[tid] = time.perf_counter() - started
+                completed.append(tid)
+        else:
+            n = y.shape[0]
+            c = np.asarray(job.c, dtype=np.float64)
+            a_rows = [np.asarray(row, dtype=np.float64)
+                      for row in job.a_rows]
+            kk = np.empty((len(c), n), dtype=np.float64)
+            kk[:job.start] = bufs.k[:job.start, :n]
+            y_stage = np.empty(n, dtype=np.float64)
+            for i in range(job.start, job.stop):
+                _stage_state(kk, i, a_rows, job.h_dir, y, y_stage)
+                ti = job.t + c[i] * job.h_dir
+                row = bufs.stage_res[i - job.start]
+                for level_tasks in job.tasks:
+                    for tid in level_tasks:
+                        started = time.perf_counter()
+                        tasks[tid](ti, y_stage, p, row)
+                        times[tid] += time.perf_counter() - started
+                    tid = None
+                    barrier.wait(job.timeout)
+                kk[i] = row[:n]
+    except WorkerKill:
+        raise
+    except threading.BrokenBarrierError as exc:
+        error = exc  # somebody else aborted the round
+    except BaseException as exc:  # noqa: BLE001 - forwarded
+        if job.stop:
+            barrier.abort()
+        error = exc
+        failed_tid = tid
+    # Always reply — a swallowed failure here would stall the supervisor
+    # until the barrier timeout.
+    return _Reply(job.epoch, worker_id, tuple(completed), error, failed_tid)
+
+
+# -- the pool core ----------------------------------------------------------------
+
+
+class _PoolExecutor:
+    """The supervisor side of the round protocol, over any transport.
+
+    Each round the supervisor binds ``(y, p, res)`` to the transport and
+    sends every worker its task list for the current dependency level; a
+    barrier separates levels.  Results land in disjoint ``res`` slots.
 
     See the module docstring for the fault-tolerance semantics; all the
     knobs have safe defaults (``retry_policy=RetryPolicy()``,
     ``level_timeout=30`` seconds, output validation on).
+
+    A transport provides ``times`` (the per-task wall-time array workers
+    write), ``max_stages`` (tableau rows a K-stage chunk may carry) and:
+
+    ``bind(y, p, res) -> _Buffers``
+        make a round's arrays visible to the workers; returns the arrays
+        the supervisor itself must read and write for that round.
+    ``bind_stages(y, p, res, k, start, nstages, participants) -> stage_res``
+        the same for a K-stage chunk, plus a fresh in-round barrier for
+        ``participants``; returns the zeroed per-stage results rows, each
+        laid out like ``res``.
+    ``gather(res, times)``
+        bring results (``res`` may be ``None``) and task times back.
+    ``send(worker, job) -> bool``
+        False when the worker can no longer be reached.
+    ``replies(workers, timeout) -> [(worker, reply | None), ...]``
+        whatever arrived within ``timeout``; ``None`` is end-of-stream
+        from that worker.
+    ``alive(worker)``, ``why_dead(worker)``, ``kill(worker)``
+    ``abort_stages(epoch)``
+        break the in-round barrier of that epoch's chunk.
+    ``close(join_timeout) -> [worker, ...]``
+        stop everything; returns the workers that did not stop in time.
     """
 
     def __init__(
@@ -278,7 +447,11 @@ class ThreadedExecutor:
         self.program = program
         self.num_workers = num_workers
         self._levels = dependency_levels(program.task_graph)
+        self._num_params = int(program.param_vector().size)
         self.last_task_times = np.zeros(program.num_tasks)
+        #: rounds accumulated into last_task_times by the previous call
+        #: (K for a stage chunk, 1 for a plain round); scheduler feeds
+        #: divide by this to recover per-round task times
         self.last_times_rounds = 1
 
         self.events = events if events is not None else RuntimeEvents()
@@ -289,6 +462,7 @@ class ThreadedExecutor:
         self.min_workers = min_workers
         self.join_timeout = join_timeout
 
+        #: supervisor-side task functions (inline fallback / degraded mode)
         self._tasks = (
             injector.wrap_tasks(program) if injector is not None
             else list(program.task_callables())
@@ -297,120 +471,41 @@ class ThreadedExecutor:
             np.asarray(program.task_output_slots(tid), dtype=int)
             for tid in range(program.num_tasks)
         ]
-
-        self._inboxes: list[queue.Queue] = [queue.Queue() for _ in range(num_workers)]
-        self._done: queue.Queue = queue.Queue()
-        self._threads: list[threading.Thread] = []
         self._closing = False
-        self._epoch = 0  # bumped per dispatched level; stale replies dropped
+        self._epoch = 0  # bumped per dispatch; stale replies dropped
+        self._round = -1
         self._dead: set[int] = set()
         self.degraded = False
-        self.zombie_workers: list[int] = []
-        for w in range(num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(w,), daemon=True,
-                name=f"rhs-worker-{w}",
-            )
-            thread.start()
-            self._threads.append(thread)
+        #: set by the subclass constructor, once the options are validated
+        self._transport = None
 
-    # -- worker side -----------------------------------------------------------
-
-    def _worker_loop(self, worker_id: int) -> None:
-        tasks = self._tasks
-        inbox = self._inboxes[worker_id]
-        while True:
-            job = inbox.get()
-            if job is None:
-                return
-            if job[0] == "stages":
-                if not self._worker_stages(worker_id, job[1], job[2]):
-                    return  # simulated crash (WorkerKill): die silently
-                continue
-            epoch, task_ids, t, y, p, res = job
-            completed: list[int] = []
-            error: BaseException | None = None
-            failed_tid: int | None = None
-            for tid in task_ids:
-                start = time.perf_counter()
-                try:
-                    tasks[tid](t, y, p, res)
-                except WorkerKill:
-                    # Simulated crash: die *without* signalling the
-                    # supervisor — exactly the failure the liveness check
-                    # and barrier timeout exist to survive.
-                    return
-                except BaseException as exc:  # noqa: BLE001 - forwarded
-                    error = exc
-                    failed_tid = tid
-                    break
-                self.last_task_times[tid] = time.perf_counter() - start
-                completed.append(tid)
-            # Always signal completion — a swallowed failure here would
-            # stall the supervisor until the barrier timeout.
-            self._done.put((epoch, worker_id, tuple(completed), error,
-                            failed_tid))
-
-    def _worker_stages(self, worker_id: int, epoch: int, rd) -> bool:
-        """Run this worker's share of one optimistic K-stage round.
-
-        Each worker keeps a *private contiguous* copy ``kk`` of the stage
-        rows so its ``matmul`` sees exactly the serial solver's operand
-        layout (bit-identity); per dependency level all workers meet at
-        ``rd.barrier``.  Any fault aborts the barrier so the whole pool
-        bails out fast and the supervisor re-runs the chunk through the
-        hardened per-stage path.  Returns False only for a simulated
-        crash (the worker thread must die without a farewell message).
-        """
-        tasks = self._tasks
-        n = rd.n
-        kk = np.empty((len(rd.c), n), dtype=float)
-        kk[:rd.start] = rd.k_base[:rd.start]
-        y_stage = np.empty(n, dtype=float)
-        error: BaseException | None = None
-        failed_tid: int | None = None
-        tid = None
-        try:
-            for i in range(rd.start, rd.stop):
-                np.matmul(kk[:i].T, rd.a_rows[i], out=y_stage)
-                y_stage *= rd.h_dir
-                y_stage += rd.y
-                ti = rd.t + rd.c[i] * rd.h_dir
-                res = rd.res_stages[i - rd.start]
-                for level_tasks in rd.my_levels:
-                    for tid in level_tasks:
-                        started = time.perf_counter()
-                        tasks[tid](ti, y_stage, rd.p, res)
-                        self.last_task_times[tid] += (
-                            time.perf_counter() - started
-                        )
-                    tid = None
-                    rd.barrier.wait(self.level_timeout)
-                kk[i] = res[:n]
-        except WorkerKill:
-            return False
-        except threading.BrokenBarrierError as exc:
-            error = exc
-        except BaseException as exc:  # noqa: BLE001 - forwarded
-            rd.barrier.abort()
-            error = exc
-            failed_tid = tid
-        self._done.put(("stages", epoch, worker_id, error, failed_tid))
-        return True
-
-    # -- supervisor-side helpers -----------------------------------------------
+    # -- liveness and degradation -----------------------------------------------
 
     def _healthy_workers(self) -> list[int]:
-        out = []
-        for w, thread in enumerate(self._threads):
-            if w not in self._dead and thread.is_alive():
-                out.append(w)
-        return out
+        return [w for w in range(self.num_workers)
+                if w not in self._dead and self._transport.alive(w)]
+
+    def _sweep(self) -> list[int]:
+        """The healthy workers, after recording as dead any that stopped
+        since the pool last looked — so a worker that died *between*
+        rounds is logged, not just silently remapped around."""
+        healthy = []
+        for w in range(self.num_workers):
+            if w in self._dead:
+                continue
+            if self._transport.alive(w):
+                healthy.append(w)
+            else:
+                self._mark_dead(w, self._transport.why_dead(w))
+        return healthy
 
     def _mark_dead(self, worker_id: int, reason: str) -> None:
         if worker_id in self._dead:
             return
         self._dead.add(worker_id)
+        # Make death final: an abandoned-but-running worker must never
+        # write a stale result into the buffer of a later round.
+        self._transport.kill(worker_id)
         self.events.record("worker_dead", worker=worker_id, reason=reason)
         if (not self.degraded
                 and len(self._healthy_workers()) < max(self.min_workers, 1)):
@@ -420,11 +515,19 @@ class ThreadedExecutor:
                 min_workers=self.min_workers,
             )
             warnings.warn(
-                "ThreadedExecutor degraded to serial execution: "
+                f"{type(self).__name__} degraded to serial execution: "
                 f"{len(self._dead)} of {self.num_workers} workers dead",
                 RuntimeWarning,
                 stacklevel=3,
             )
+
+    def _send(self, worker_id: int, job: _Job) -> bool:
+        if self._transport.send(worker_id, job):
+            return True
+        self._mark_dead(worker_id, "pipe closed")
+        return False
+
+    # -- inline execution ---------------------------------------------------------
 
     def _validate_task_outputs(self, tid: int, res: np.ndarray) -> None:
         slots = self._slots[tid]
@@ -433,42 +536,43 @@ class ThreadedExecutor:
                 f"task {tid} produced non-finite output"
             )
 
-    def _run_inline(self, tid: int, t: float, y: np.ndarray,
-                    p: np.ndarray, res: np.ndarray) -> None:
+    def _run_inline(self, tid: int, t: float, bufs: _Buffers,
+                    cause: BaseException | None = None) -> None:
         """Execute one task on the supervisor thread (last-resort path and
-        the degraded mode), with the same timing and validation."""
-        start = time.perf_counter()
-        self._tasks[tid](t, y, p, res)
-        self.last_task_times[tid] = time.perf_counter() - start
-        if self.validate_outputs:
-            self._validate_task_outputs(tid, res)
-
-    def _run_level_serial(self, level: list[int], t: float, y: np.ndarray,
-                          p: np.ndarray, res: np.ndarray) -> None:
-        for tid in level:
-            try:
-                self._run_inline(tid, t, y, p, res)
-            except _NonFiniteOutput as exc:
-                raise TaskFailure(tid, exc, "non-finite output") from exc
-            except Exception as exc:
-                raise TaskFailure(tid, exc) from exc
+        the degraded mode), with the same timing and validation; a
+        failure here is final.  ``cause`` is what drove the task off its
+        workers, kept when the inline run fails less informatively."""
+        try:
+            start = time.perf_counter()
+            self._tasks[tid](t, bufs.y, bufs.p, bufs.res)
+            self._transport.times[tid] = time.perf_counter() - start
+            if self.validate_outputs:
+                self._validate_task_outputs(tid, bufs.res)
+        except _NonFiniteOutput as exc:
+            raise TaskFailure(tid, cause or exc, "non-finite output") from exc
+        except Exception as exc:
+            raise TaskFailure(tid, exc) from exc
 
     # -- the hardened barrier ---------------------------------------------------
 
-    def _run_level(self, level: list[int], assignment,
-                   t: float, y: np.ndarray, p: np.ndarray,
-                   res: np.ndarray) -> None:
+    def _run_level(self, level: list[int], assignment, t: float,
+                   bufs: _Buffers, round_index: int) -> None:
         """Dispatch one dependency level and survive worker failures.
 
         ``outstanding`` maps worker -> tasks currently assigned to it; a
         task bounces original-worker retries -> reassignment -> inline
         before :class:`TaskFailure` is raised.
         """
+        healthy = set(self._sweep())
+        if self.degraded:
+            for tid in level:
+                self._run_inline(tid, t, bufs)
+            return
         policy = self.retry_policy
+        transport = self._transport
         self._epoch += 1
         epoch = self._epoch
 
-        healthy = set(self._healthy_workers())
         outstanding: dict[int, list[int]] = {}
         pending: dict[int, list[int]] = {}
         for tid in level:
@@ -487,10 +591,10 @@ class ThreadedExecutor:
 
         def dispatch(worker_id: int, task_ids: list[int]) -> None:
             outstanding[worker_id] = list(task_ids)
-            self._inboxes[worker_id].put((epoch, task_ids, t, y, p, res))
-
-        for w, task_ids in pending.items():
-            dispatch(w, task_ids)
+            job = _Job(epoch, round_index, t, tuple(task_ids))
+            if not self._send(worker_id, job):
+                del outstanding[worker_id]
+                fail_over(task_ids, worker_id, None)
 
         def fail_over(task_ids: list[int], from_worker: int,
                       cause: BaseException | None) -> None:
@@ -519,15 +623,19 @@ class ThreadedExecutor:
                     from_worker=from_worker,
                 )
             for tid in burnt:
-                try:
-                    self._run_inline(tid, t, y, p, res)
-                except _NonFiniteOutput as exc:
-                    raise TaskFailure(
-                        tid, cause or exc, "non-finite output"
-                    ) from exc
-                except Exception as exc:
-                    raise TaskFailure(tid, exc) from exc
+                self._run_inline(tid, t, bufs, cause)
 
+        def abandon(worker_id: int, reason: str) -> None:
+            task_ids = outstanding.pop(worker_id)
+            self._mark_dead(worker_id, reason)
+            fail_over(task_ids, worker_id, None)
+
+        # Claim every placement before the first send: a failed send must
+        # not fail over onto a worker whose own job is still to go out
+        # (its reply to the first job would be taken for both).
+        outstanding.update(pending)
+        for w, task_ids in pending.items():
+            dispatch(w, task_ids)
         # Tasks that never had a live worker run inline immediately.
         fail_over(inline_tasks, -1, None)
 
@@ -544,72 +652,106 @@ class ThreadedExecutor:
                         tasks=tuple(outstanding[w]),
                         timeout=self.level_timeout,
                     )
-                    task_ids = outstanding.pop(w)
-                    self._mark_dead(w, "barrier timeout")
-                    fail_over(task_ids, w, None)
+                    abandon(w, "round timeout")
                 deadline = time.monotonic() + self.level_timeout
                 continue
 
-            try:
-                msg = self._done.get(timeout=min(remaining, 0.05))
-            except queue.Empty:
+            arrived = transport.replies(outstanding, min(remaining, 0.05))
+            if not arrived:
                 # Liveness check: a worker that died outside a task (or
-                # was killed by an injected fault) never replies.
+                # was killed, by an injected fault or a real SIGKILL)
+                # never replies.
                 for w in list(outstanding):
-                    if not self._threads[w].is_alive():
-                        task_ids = outstanding.pop(w)
-                        self._mark_dead(w, "thread died")
-                        fail_over(task_ids, w, None)
+                    if not transport.alive(w):
+                        abandon(w, transport.why_dead(w))
                 continue
 
-            msg_epoch, w, completed, error, failed_tid = msg
-            if msg_epoch != epoch or w not in outstanding:
-                continue  # stale reply from an abandoned level
-            task_ids = outstanding.pop(w)
+            for w, reply in arrived:
+                if w not in outstanding:
+                    continue
+                if reply is None:
+                    abandon(w, transport.why_dead(w))
+                    continue
+                if reply.epoch != epoch or reply.worker != w:
+                    continue  # stale reply from an abandoned dispatch
+                task_ids = outstanding.pop(w)
+                for fired in reply.fired:
+                    self.events.record("fault_injected", **fired)
+                completed = reply.completed
+                error, failed_tid = reply.error, reply.failed_tid
 
-            # Validate outputs of everything the worker claims done.
-            bad_output: int | None = None
-            if self.validate_outputs:
-                for tid in completed:
-                    try:
-                        self._validate_task_outputs(tid, res)
-                    except _NonFiniteOutput as exc:
-                        bad_output = tid
-                        error = exc
-                        failed_tid = tid
-                        self.events.record(
-                            "task_nonfinite", task=tid, worker=w,
-                        )
-                        break
+                # Validate outputs of everything the worker claims done.
+                bad_output: int | None = None
+                if self.validate_outputs:
+                    for tid in completed:
+                        try:
+                            self._validate_task_outputs(tid, bufs.res)
+                        except _NonFiniteOutput as exc:
+                            bad_output = tid
+                            error = exc
+                            failed_tid = tid
+                            self.events.record(
+                                "task_nonfinite", task=tid, worker=w,
+                            )
+                            break
 
-            if error is None and bad_output is None:
-                continue  # worker finished its list cleanly
+                if error is None:
+                    continue  # worker finished its list cleanly
 
-            assert failed_tid is not None
-            if bad_output is None:
-                self.events.record(
-                    "task_error", task=failed_tid, worker=w,
-                    error=type(error).__name__,
-                )
-            done_ok = (tuple(completed) if bad_output is None
-                       else tuple(completed[: completed.index(bad_output)]))
-            still_todo = [tid for tid in task_ids if tid not in done_ok]
-            attempts[failed_tid] += 1
+                assert failed_tid is not None
+                if bad_output is None:
+                    self.events.record(
+                        "task_error", task=failed_tid, worker=w,
+                        error=type(error).__name__,
+                    )
+                done_ok = (completed if bad_output is None
+                           else completed[: completed.index(bad_output)])
+                still_todo = [tid for tid in task_ids if tid not in done_ok]
+                attempts[failed_tid] += 1
 
-            if (attempts[failed_tid] < policy.max_attempts
-                    and w in self._healthy_workers()):
-                delay = policy.delay(attempts[failed_tid])
-                if delay > 0:
-                    time.sleep(delay)
-                self.events.record(
-                    "task_retry", task=failed_tid, worker=w,
-                    attempt=attempts[failed_tid] + 1,
-                )
-                dispatch(w, still_todo)
-            else:
-                fail_over(still_todo, w, error)
+                if (attempts[failed_tid] < policy.max_attempts
+                        and w not in self._dead and transport.alive(w)):
+                    delay = policy.delay(attempts[failed_tid])
+                    if delay > 0:
+                        time.sleep(delay)
+                    self.events.record(
+                        "task_retry", task=failed_tid, worker=w,
+                        attempt=attempts[failed_tid] + 1,
+                    )
+                    dispatch(w, still_todo)
+                else:
+                    fail_over(still_todo, w, error)
 
     # -- public API -------------------------------------------------------------
+
+    def _check_call(self, p, schedule: Schedule | None):
+        """Checks common to both entry points; returns ``(p, schedule)``
+        with the defaults filled in."""
+        if self._closing:
+            raise RuntimeError("executor is closed")
+        if schedule is None:
+            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
+        if schedule.num_workers != self.num_workers:
+            raise ValueError(
+                f"schedule is for {schedule.num_workers} workers, pool has "
+                f"{self.num_workers}"
+            )
+        # Native tasks read ``p`` through a raw pointer with no bounds
+        # check, and a short vector would otherwise walk the whole
+        # recovery ladder into a misleading TaskFailure.
+        p = np.asarray(p, dtype=float)
+        if p.size != self._num_params:
+            raise ValueError(
+                f"parameter vector has {p.size} entries, program expects "
+                f"{self._num_params}"
+            )
+        return p, schedule
+
+    def _begin_round(self) -> int:
+        self._round += 1
+        if self.injector is not None:
+            return self.injector.begin_round()
+        return self._round
 
     def evaluate(
         self,
@@ -620,58 +762,21 @@ class ThreadedExecutor:
         schedule: Schedule | None = None,
     ) -> None:
         """Run one RHS round under ``schedule`` (defaults to LPT)."""
-        if self._closing:
-            raise RuntimeError("executor is closed")
-        if schedule is None:
-            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
-        if schedule.num_workers != self.num_workers:
-            raise ValueError(
-                f"schedule is for {schedule.num_workers} workers, pool has "
-                f"{self.num_workers}"
-            )
+        p, schedule = self._check_call(p, schedule)
+        round_index = self._begin_round()
+        bufs = self._transport.bind(y, p, res)
         # Clear stale measurements so an aborted evaluation can never leave
         # the semi-dynamic LPT scheduling from a mix of rounds.
-        self.last_task_times[:] = 0.0
-        self.last_times_rounds = 1
-        if self.injector is not None:
-            self.injector.begin_round()
-        if self.degraded or not self._healthy_workers():
-            if not self.degraded:
-                self.degraded = True
-                self.events.record("degraded", healthy=0,
-                                   min_workers=self.min_workers)
+        self._transport.times[:] = 0.0
+        try:
             for level in self._levels:
-                self._run_level_serial(level, t, y, p, res)
-            return
-        for level in self._levels:
-            if self.degraded:
-                self._run_level_serial(level, t, y, p, res)
-            else:
-                self._run_level(level, schedule.assignment, t, y, p, res)
+                self._run_level(level, schedule.assignment, t, bufs,
+                                round_index)
+        finally:
+            self._transport.gather(res, self.last_task_times)
+            self.last_times_rounds = 1
 
     # -- K-stage rounds ---------------------------------------------------------
-
-    def _fallback_stages(
-        self, t, y, p, k, a_rows, c, h_dir, start, stop, res, schedule,
-    ) -> None:
-        """Pessimistic path: one hardened ``evaluate`` round per stage.
-
-        Runs every stage of the chunk through the full supervision ladder
-        (retry → reassign → inline → degrade), so an aborted optimistic
-        round loses only its head start, never any fault tolerance.  The
-        stage state is recomputed from the caller's ``k`` with the exact
-        serial operand layout, so recovered chunks stay bit-identical.
-        """
-        n = self.program.num_states
-        y_stage = np.empty(n, dtype=float)
-        for i in range(start, stop):
-            np.matmul(k[:i].T, a_rows[i], out=y_stage)
-            y_stage *= h_dir
-            y_stage += y
-            res.fill(0.0)
-            self.evaluate(t + c[i] * h_dir, y_stage, p, res, schedule)
-            k[i] = res[:n]
-        self.last_times_rounds = 1
 
     def evaluate_stages(
         self, t: float, y: np.ndarray, p: np.ndarray, k: np.ndarray,
@@ -683,135 +788,126 @@ class ThreadedExecutor:
 
         Optimistic fast path: every participating worker receives the
         whole chunk up front and advances stage-local state itself,
-        meeting the others at a :class:`threading.Barrier` per dependency
-        level — no supervisor round-trip between stages.  On ANY fault
-        (exception, simulated crash, hang past the barrier timeout,
-        non-finite output) the round aborts and the chunk re-runs through
-        :meth:`_fallback_stages`, which preserves the full recovery
-        ladder.  Safe because tasks are pure functions of ``(t, y, p)``
-        writing disjoint slots: re-execution writes the same bytes.
+        meeting the others at the transport's in-round barrier per
+        dependency level — no supervisor round-trip between stages (see
+        :func:`serve`).  On ANY fault (exception, crash, hang past the
+        barrier timeout, non-finite output) the round aborts and the
+        chunk re-runs through :func:`_evaluate_stagewise`, which
+        preserves the full retry → reassign → inline → degrade ladder.
+        Safe because tasks are pure functions of ``(t, y, p)`` writing
+        disjoint slots: re-execution writes the same bytes.
         """
-        if self._closing:
-            raise RuntimeError("executor is closed")
+        p, schedule = self._check_call(p, schedule)
         if stop <= start:
             return
-        if schedule is None:
-            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
-        if schedule.num_workers != self.num_workers:
-            raise ValueError(
-                f"schedule is for {schedule.num_workers} workers, pool has "
-                f"{self.num_workers}"
-            )
-        self.last_task_times[:] = 0.0
-        if self.injector is not None:
-            self.injector.begin_round()
-        healthy = self._healthy_workers()
-        if self.degraded or not healthy:
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
-            return
-
+        round_index = self._begin_round()
+        transport = self._transport
+        alive = set(self._sweep())
         # Per-worker task lists per level (dead workers' tasks remapped).
-        alive = set(healthy)
         worker_levels: dict[int, list[list[int]]] = {}
         num_levels = len(self._levels)
-        for li, level in enumerate(self._levels):
-            for tid in level:
-                w = schedule.assignment[tid]
-                if w not in alive:
-                    w = min(alive, key=lambda h: sum(
-                        len(lv) for lv in worker_levels.get(h, ())
-                    ))
-                rows = worker_levels.setdefault(
-                    w, [[] for _ in range(num_levels)]
-                )
-                rows[li].append(tid)
-        participants = sorted(worker_levels)
+        if alive and not self.degraded and len(c) <= transport.max_stages:
+            for li, level in enumerate(self._levels):
+                for tid in level:
+                    w = schedule.assignment[tid]
+                    if w not in alive:
+                        w = min(alive, key=lambda h: sum(
+                            len(lv) for lv in worker_levels.get(h, ())
+                        ))
+                    rows = worker_levels.setdefault(
+                        w, [[] for _ in range(num_levels)]
+                    )
+                    rows[li].append(tid)
+        participants = tuple(sorted(worker_levels))
         if not participants:
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
+            _evaluate_stagewise(self, t, y, p, k, a_rows, c, h_dir, start,
+                                stop, res, schedule)
             return
 
         nstages = stop - start
-        res_stages = np.zeros(
-            (nstages, self.program.num_states + self.program.num_partials),
-            dtype=float,
-        )
-        barrier = threading.Barrier(len(participants))
+        n = self.program.num_states
+        stage_res = transport.bind_stages(y, p, res, k, start, nstages,
+                                          participants)
+        transport.times[:] = 0.0
         self._epoch += 1
         epoch = self._epoch
-        for w in participants:
-            rd = _StageRound(
-                t=t, h_dir=h_dir, start=start, stop=stop,
-                a_rows=a_rows, c=c, y=y, p=p, k_base=k,
-                res_stages=res_stages, barrier=barrier,
-                my_levels=worker_levels[w], n=self.program.num_states,
-            )
-            self._inboxes[w].put(("stages", epoch, rd))
-
+        waiting: set[int] = set()
         ok = True
-        waiting = set(participants)
+        for w in participants:
+            job = _Job(
+                epoch, round_index, float(t),
+                tuple(tuple(lv) for lv in worker_levels[w]),
+                float(h_dir), start, stop, a_rows, c, participants,
+                self.level_timeout,
+            )
+            if self._send(w, job):
+                waiting.add(w)
+            else:
+                ok = False  # a missing participant: the barrier cannot fill
+
         deadline = (time.monotonic()
                     + self.level_timeout * nstages * num_levels + 1.0)
-        while waiting:
+        while ok and waiting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 # Whole-chunk timeout: abandon the round; late workers
-                # exit through the (aborted) barrier and their stale
+                # exit through the aborted barrier and their stale
                 # replies are dropped by epoch.
-                barrier.abort()
                 ok = False
                 break
-            try:
-                msg = self._done.get(timeout=min(remaining, 0.05))
-            except queue.Empty:
-                for w in list(waiting):
-                    if not self._threads[w].is_alive():
-                        # A crashed worker never replies; break the
-                        # barrier so the survivors bail out now.  Its
-                        # tasks move to the survivors when the chunk
-                        # re-runs through the hardened path.
-                        barrier.abort()
-                        waiting.discard(w)
-                        self._mark_dead(w, "thread died mid stage round")
-                        self.events.record(
-                            "task_reassigned",
-                            tasks=tuple(tid for lv in worker_levels[w]
-                                        for tid in lv),
-                            from_worker=w, to_worker=-1,
-                        )
-                        ok = False
-                continue
-            if msg[0] != "stages":
-                continue  # stale reply from an abandoned legacy level
-            _, msg_epoch, w, error, failed_tid = msg
-            if msg_epoch != epoch or w not in waiting:
-                continue
-            waiting.discard(w)
-            if error is not None:
+            arrived = transport.replies(waiting, min(remaining, 0.05))
+            lost = [w for w, reply in arrived if reply is None]
+            if not arrived:
+                lost = [w for w in waiting if not transport.alive(w)]
+            for w in lost:
+                # A crashed participant never replies and never reaches
+                # the barrier.  Its tasks move to the survivors when the
+                # chunk re-runs through the hardened path.
+                waiting.discard(w)
+                self._mark_dead(w, transport.why_dead(w))
+                self.events.record(
+                    "task_reassigned",
+                    tasks=tuple(tid for lv in worker_levels[w]
+                                for tid in lv),
+                    from_worker=w, to_worker=-1,
+                )
                 ok = False
-                if not isinstance(error, threading.BrokenBarrierError):
-                    self.events.record(
-                        "stage_task_error", task=failed_tid, worker=w,
-                        error=type(error).__name__,
-                    )
+            for w, reply in arrived:
+                if (reply is None or w not in waiting
+                        or reply.epoch != epoch or reply.worker != w):
+                    continue  # straggler from an abandoned dispatch
+                waiting.discard(w)
+                for fired in reply.fired:
+                    self.events.record("fault_injected", **fired)
+                if reply.error is not None:
+                    ok = False
+                    if not isinstance(reply.error,
+                                      threading.BrokenBarrierError):
+                        self.events.record(
+                            "stage_task_error", task=reply.failed_tid,
+                            worker=w, error=type(reply.error).__name__,
+                        )
         if ok and self.validate_outputs and not np.all(
-            np.isfinite(res_stages)
+            np.isfinite(stage_res)
         ):
             ok = False
             self.events.record("stage_nonfinite", start=start, stop=stop)
         if not ok:
+            # Release any participant still at (or on its way to) the
+            # barrier, so the survivors bail out now.
+            transport.abort_stages(epoch)
             self.events.record(
                 "stage_round_aborted", start=start, stop=stop,
             )
             # Invalidate the optimistic round before re-running: bump the
             # epoch so any straggler reply is recognisably stale.
             self._epoch += 1
-            self._fallback_stages(t, y, p, k, a_rows, c, h_dir, start, stop,
-                                  res, schedule)
+            _evaluate_stagewise(self, t, y, p, k, a_rows, c, h_dir, start,
+                                stop, res, schedule)
             return
-        k[start:stop] = res_stages[:, : self.program.num_states]
-        res[:] = res_stages[nstages - 1]
+        k[start:stop] = stage_res[:, :n]
+        res[:] = stage_res[nstages - 1]
+        transport.gather(None, self.last_task_times)
         self.last_times_rounds = nstages
 
     def measure_dispatch_overhead(self, trials: int = 5) -> float:
@@ -820,61 +916,182 @@ class ThreadedExecutor:
         Times a full supervisor→workers→supervisor round-trip carrying no
         tasks — the fixed cost every per-stage round pays, and what the
         granularity auto-tuner amortises by batching K stages per trip.
+        A pool that runs everything inline has no dispatch to amortise:
+        0.0, so the tuner picks K = 1 for it.
         """
+        transport = self._transport
         healthy = self._healthy_workers()
-        if not healthy:
-            return 0.0
         samples = []
-        for _ in range(max(1, trials)):
+        while (len(samples) < max(1, trials) and healthy
+               and not self.degraded):
             self._epoch += 1
-            epoch = self._epoch
+            job = _Job(self._epoch, self._round, 0.0, ())
             t0 = time.perf_counter()
-            for w in healthy:
-                self._inboxes[w].put((epoch, (), 0.0, None, None, None))
-            waiting = set(healthy)
+            waiting = {w for w in healthy if self._send(w, job)}
             deadline = time.monotonic() + self.level_timeout
             while waiting and time.monotonic() < deadline:
-                try:
-                    msg = self._done.get(timeout=0.05)
-                except queue.Empty:
-                    waiting = {w for w in waiting
-                               if self._threads[w].is_alive()}
-                    continue
-                if msg[0] == "stages":
-                    continue
-                if msg[0] == epoch and msg[1] in waiting:
-                    waiting.discard(msg[1])
+                arrived = transport.replies(waiting, 0.05)
+                if not arrived:
+                    waiting = {w for w in waiting if transport.alive(w)}
+                for w, reply in arrived:
+                    if reply is None or (reply.epoch == job.epoch
+                                         and reply.worker == w):
+                        waiting.discard(w)
             samples.append(time.perf_counter() - t0)
-        return float(np.median(samples))
+            healthy = self._healthy_workers()
+        return float(np.median(samples)) if samples else 0.0
 
     def close(self) -> None:
         """Shut the pool down; idempotent and safe under a half-dead pool.
 
-        Workers that fail to join within ``join_timeout`` are recorded in
-        ``zombie_workers`` and reported with a :class:`RuntimeWarning`
-        (they are daemon threads, so they cannot outlive the process)."""
+        Workers get a farewell and ``join_timeout`` to stop; what the
+        transport does with the ones that do not (and with anything else
+        it owns) is in its own ``close``."""
         if self._closing:
             return
         self._closing = True
-        for inbox in self._inboxes:
-            inbox.put(None)
-        for w, thread in enumerate(self._threads):
-            thread.join(timeout=self.join_timeout)
-            if thread.is_alive():
-                self.zombie_workers.append(w)
-                self.events.record("close_timeout", worker=w,
-                                   timeout=self.join_timeout)
-        if self.zombie_workers:
-            warnings.warn(
-                f"ThreadedExecutor.close: worker(s) {self.zombie_workers} "
-                f"did not join within {self.join_timeout}s (left as daemon "
-                "zombies)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if self._transport is None:
+            return
+        for w in self._transport.close(self.join_timeout):
+            self.events.record("close_timeout", worker=w,
+                               timeout=self.join_timeout)
 
-    def __enter__(self) -> "ThreadedExecutor":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def __del__(self) -> None:  # best-effort leak guard
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+# -- the thread transport ---------------------------------------------------------
+
+
+class _ThreadTransport:
+    """Worker threads in the supervisor's address space.
+
+    Nothing is copied: a round's buffers are the caller's own ndarrays,
+    handed to each worker by reference next to its job, and workers write
+    task times straight into the executor's ``last_task_times``.  Jobs go
+    down one ``queue.Queue`` per worker and replies come back on a shared
+    one; the in-round stage barrier is a ``threading.Barrier``, a fresh
+    one per chunk so an aborted round leaves no broken generation behind.
+    """
+
+    #: a chunk lives in ordinary memory, so any tableau fits
+    max_stages = sys.maxsize
+
+    def __init__(self, num_workers: int, tasks, times: np.ndarray) -> None:
+        self.tasks = tasks
+        self.times = times
+        self.zombies: list[int] = []
+        self._inboxes = [queue.Queue() for _ in range(num_workers)]
+        self._done: queue.Queue = queue.Queue()
+        #: (buffers, barrier) of the round being dispatched
+        self._round: tuple = (None, None)
+        self._threads = []
+        for w in range(num_workers):
+            thread = threading.Thread(
+                target=self._worker_loop, args=(w,), daemon=True,
+                name=f"{WORKER_THREAD_PREFIX}{w}",
+            )
+            thread.start()
+            self._threads.append(thread)
+
+    def _worker_loop(self, worker_id: int) -> None:
+        inbox = self._inboxes[worker_id]
+        while True:
+            item = inbox.get()
+            if item is None:
+                return
+            job, bufs, barrier = item
+            try:
+                reply = serve(job, worker_id, self.tasks, self.times, bufs,
+                              barrier)
+            except WorkerKill:
+                return  # simulated crash: die silently
+            self._done.put(reply)
+
+    def bind(self, y, p, res):
+        bufs = _Buffers(y, p, res)
+        self._round = (bufs, None)
+        return bufs
+
+    def bind_stages(self, y, p, res, k, start, nstages, participants):
+        stage_res = np.zeros((nstages, res.size))
+        self._round = (_Buffers(y, p, None, k, stage_res),
+                       threading.Barrier(len(participants)))
+        return stage_res
+
+    def gather(self, res, times) -> None:
+        pass  # workers wrote the caller's arrays directly
+
+    def send(self, worker_id: int, job: _Job) -> bool:
+        self._inboxes[worker_id].put((job, *self._round))
+        return True
+
+    def replies(self, workers, timeout: float):
+        try:
+            reply = self._done.get(timeout=timeout)
+        except queue.Empty:
+            return []
+        return [(reply.worker, reply)]
+
+    def alive(self, worker_id: int) -> bool:
+        return self._threads[worker_id].is_alive()
+
+    def why_dead(self, worker_id: int) -> str:
+        return "thread died"
+
+    def kill(self, worker_id: int) -> None:
+        pass  # a thread cannot be killed; it is only never used again
+
+    def abort_stages(self, epoch: int) -> None:
+        self._round[1].abort()
+
+    def close(self, join_timeout: float) -> list[int]:
+        """Workers that fail to join within ``join_timeout`` are recorded
+        in ``zombies`` and reported with a :class:`RuntimeWarning` (they
+        are daemon threads, so they cannot outlive the process)."""
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for w, thread in enumerate(self._threads):
+            thread.join(timeout=join_timeout)
+            if thread.is_alive():
+                self.zombies.append(w)
+        if self.zombies:
+            warnings.warn(
+                f"ThreadedExecutor.close: worker(s) {self.zombies} "
+                f"did not join within {join_timeout}s (left as daemon "
+                "zombies)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return self.zombies
+
+
+class ThreadedExecutor(_PoolExecutor):
+    """Persistent worker threads executing scheduled task lists: the
+    round protocol of :class:`_PoolExecutor` over the thread transport.
+
+    Options (all keyword-only): ``injector``, ``events``,
+    ``retry_policy``, ``level_timeout``, ``validate_outputs``,
+    ``min_workers``, ``join_timeout`` — see :class:`_PoolExecutor`.
+    """
+
+    def __init__(self, program: GeneratedProgram, num_workers: int,
+                 **options) -> None:
+        super().__init__(program, num_workers, **options)
+        self._transport = _ThreadTransport(
+            num_workers, self._tasks, self.last_task_times
+        )
+
+    @property
+    def zombie_workers(self) -> list[int]:
+        """Workers that did not join within ``join_timeout`` at close."""
+        return self._transport.zombies

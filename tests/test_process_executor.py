@@ -29,15 +29,22 @@ from repro.apps import (
 )
 from repro.frontend import compile_model
 from repro.runtime import (
-    FaultInjector,
-    FaultSpec,
     ParallelRHS,
     ProcessExecutor,
     RuntimeEvents,
     SerialExecutor,
     ThreadedExecutor,
 )
-from repro.schedule import SemiDynamicScheduler, lpt_schedule
+from repro.schedule import SemiDynamicScheduler
+
+from .test_runtime_faults import (
+    check_all_workers_dead_degrades,
+    check_closed_executor_rejects_work,
+    check_hung_worker_hits_round_timeout,
+    check_kill_reassigns_dead_workers_tasks,
+    check_retry_recovers,
+    check_schedule_mismatch,
+)
 
 #: the four example models, kept small enough for per-test pools
 MODEL_BUILDERS = {
@@ -66,12 +73,10 @@ def _serial_reference(program, t, y, p):
     return res
 
 
-def _task_on_worker(program, num_workers, worker):
-    schedule = lpt_schedule(program.task_graph, num_workers)
-    for tid in range(program.num_tasks):
-        if schedule.assignment[tid] == worker:
-            return tid
-    raise AssertionError("no task scheduled on that worker")
+@pytest.fixture(scope="module")
+def reference(program):
+    return _serial_reference(program, 0.0, program.start_vector(),
+                             program.param_vector())
 
 
 class TestEquivalenceMatrix:
@@ -141,66 +146,23 @@ class TestValidation:
                             heartbeat_interval=1.0, heartbeat_timeout=0.5)
 
     def test_schedule_mismatch(self, program):
-        schedule = lpt_schedule(program.task_graph, 5)
-        with ProcessExecutor(program, num_workers=2) as executor:
-            with pytest.raises(ValueError, match="schedule is for 5"):
-                executor.evaluate(
-                    0.0, program.start_vector(), program.param_vector(),
-                    program.results_buffer(), schedule,
-                )
-
-    def test_wrong_param_length(self, program):
-        with ProcessExecutor(program, num_workers=1) as executor:
-            with pytest.raises(ValueError, match="parameter vector"):
-                executor.evaluate(
-                    0.0, program.start_vector(), np.zeros(1),
-                    program.results_buffer(),
-                )
+        check_schedule_mismatch(ProcessExecutor, program)
 
     def test_closed_executor_rejects_work(self, program):
-        executor = ProcessExecutor(program, num_workers=1)
-        executor.close()
-        executor.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.evaluate(0.0, program.start_vector(),
-                              program.param_vector(),
-                              program.results_buffer())
+        check_closed_executor_rejects_work(ProcessExecutor, program)
 
 
 class TestProcessFaults:
-    def test_sigkilled_worker_mid_round_recovers(self, program):
-        """The acceptance-criteria case: a worker SIGKILLs itself inside
-        a task (no farewell message, heartbeat stops, pipe EOFs); the
-        round must complete bit-identically with recovery events logged,
-        not deadlock."""
-        p = program.param_vector()
-        y = program.start_vector()
-        ref = _serial_reference(program, 0.0, y, p)
-        tid = _task_on_worker(program, 2, 0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode="kill", worker=0)], events=events
-        )
-        with ProcessExecutor(program, num_workers=2, injector=injector,
-                             events=events, level_timeout=10.0) as executor:
-            res = program.results_buffer()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                executor.evaluate(0.0, y, p, res)
-            np.testing.assert_array_equal(res, ref)
-            assert events.count("worker_dead") == 1
-            # The dead worker's tasks went *somewhere* on the recovery
-            # ladder: reassigned if the survivor was idle at detection
-            # time, inline on the supervisor if it was still busy.
-            assert (events.count("task_reassigned")
-                    + events.count("task_inline")
-                    + events.count("worker_timeout")) >= 1
-            # The survivor keeps serving subsequent rounds.
-            res2 = program.results_buffer()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                executor.evaluate(0.0, y, p, res2)
-            np.testing.assert_array_equal(res2, ref)
+    """The pool-independent cases (``check_*``, shared with the thread
+    pool's suite) plus what only a process can suffer: a SIGKILL from
+    outside."""
+
+    def test_sigkilled_worker_mid_round_recovers(self, program, reference):
+        # The injected kill is a real one here: the worker SIGKILLs
+        # itself inside the task (no farewell message, heartbeat stops,
+        # pipe EOFs).
+        check_kill_reassigns_dead_workers_tasks(ProcessExecutor, program,
+                                                reference)
 
     def test_externally_sigkilled_worker_between_rounds(self, program):
         p = program.param_vector()
@@ -211,8 +173,8 @@ class TestProcessFaults:
                              events=events) as executor:
             res = program.results_buffer()
             executor.evaluate(0.0, y, p, res)
-            os.kill(executor._procs[0].pid, signal.SIGKILL)
-            executor._procs[0].join(timeout=5.0)
+            os.kill(executor._transport.procs[0].pid, signal.SIGKILL)
+            executor._transport.procs[0].join(timeout=5.0)
             res2 = program.results_buffer()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -220,64 +182,20 @@ class TestProcessFaults:
             np.testing.assert_array_equal(res2, ref)
             assert events.count("worker_dead") == 1
 
-    def test_raise_retries_on_same_worker(self, program):
-        p = program.param_vector()
-        y = program.start_vector()
-        ref = _serial_reference(program, 0.0, y, p)
-        tid = _task_on_worker(program, 2, 0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode="raise", worker=0, count=1)],
-            events=events,
-        )
-        with ProcessExecutor(program, num_workers=2, injector=injector,
-                             events=events) as executor:
-            res = program.results_buffer()
-            executor.evaluate(0.0, y, p, res)
-            np.testing.assert_array_equal(res, ref)
-            assert events.count("task_retry") == 1
-            assert events.count("fault_injected") == 1
+    def test_raise_retries_on_same_worker(self, program, reference):
+        check_retry_recovers(ProcessExecutor, program, reference, "raise")
 
     @pytest.mark.parametrize("mode", ["nan", "inf"])
-    def test_nonfinite_output_caught_and_recovered(self, program, mode):
-        p = program.param_vector()
-        y = program.start_vector()
-        ref = _serial_reference(program, 0.0, y, p)
-        tid = _task_on_worker(program, 2, 0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode=mode, worker=0, count=1)],
-            events=events,
-        )
-        with ProcessExecutor(program, num_workers=2, injector=injector,
-                             events=events) as executor:
-            res = program.results_buffer()
-            executor.evaluate(0.0, y, p, res)
-            np.testing.assert_array_equal(res, ref)
-            assert events.count("task_nonfinite") == 1
+    def test_nonfinite_output_caught_and_recovered(self, program, reference,
+                                                   mode):
+        check_retry_recovers(ProcessExecutor, program, reference, mode)
 
-    def test_hung_worker_hits_round_timeout(self, program):
-        p = program.param_vector()
-        y = program.start_vector()
-        ref = _serial_reference(program, 0.0, y, p)
-        tid = _task_on_worker(program, 2, 0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode="hang", worker=0,
-                       hang_seconds=30.0)],
-            events=events,
-        )
-        with ProcessExecutor(program, num_workers=2, injector=injector,
-                             events=events, level_timeout=0.3) as executor:
-            res = program.results_buffer()
-            start = time.monotonic()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                executor.evaluate(0.0, y, p, res)
-            assert time.monotonic() - start < 10.0  # no deadlock
-            np.testing.assert_array_equal(res, ref)
-            assert events.count("worker_timeout") == 1
-            assert events.count("worker_dead") == 1
+    def test_hung_worker_hits_round_timeout(self, program, reference):
+        check_hung_worker_hits_round_timeout(ProcessExecutor, program,
+                                             reference)
+
+    def test_injected_kills_on_all_workers_degrade(self, program, reference):
+        check_all_workers_dead_degrades(ProcessExecutor, program, reference)
 
     def test_all_workers_dead_degrades_to_serial(self, program):
         p = program.param_vector()
@@ -286,9 +204,9 @@ class TestProcessFaults:
         events = RuntimeEvents()
         with ProcessExecutor(program, num_workers=2,
                              events=events) as executor:
-            for proc in executor._procs:
+            for proc in executor._transport.procs:
                 os.kill(proc.pid, signal.SIGKILL)
-            for proc in executor._procs:
+            for proc in executor._transport.procs:
                 proc.join(timeout=5.0)
             res = program.results_buffer()
             with warnings.catch_warnings():
@@ -302,7 +220,7 @@ class TestProcessFaults:
 class TestResourceHygiene:
     def test_close_unlinks_all_shared_memory(self, program):
         executor = ProcessExecutor(program, num_workers=2)
-        names = [shm.name for shm in executor._shms.values()]
+        names = [shm.name for shm in executor._transport.blocks.segments.values()]
         # y, p, res, times, hb + the K-stage blocks kst, sres, prog, ctl
         assert len(names) == 9
         executor.close()
@@ -314,10 +232,10 @@ class TestResourceHygiene:
 
     def test_close_survives_dead_pool(self, program):
         executor = ProcessExecutor(program, num_workers=2)
-        for proc in executor._procs:
+        for proc in executor._transport.procs:
             os.kill(proc.pid, signal.SIGKILL)
         executor.close()
-        assert executor._shms == {}
+        assert executor._transport.blocks.segments == {}
 
     def test_sigkilled_supervisor_leaves_no_orphans_or_segments(self):
         """SIGKILL the *supervisor* process: the orphan watchdog must
@@ -337,8 +255,8 @@ class TestResourceHygiene:
             "program = compile_model(\n"
             "    build_bearing2d(BearingParams(num_rollers=4))).program\n"
             "ex = ProcessExecutor(program, num_workers=2)\n"
-            "print('|'.join(str(p.pid) for p in ex._procs), flush=True)\n"
-            "print('|'.join(s.name for s in ex._shms.values()), flush=True)\n"
+            "print('|'.join(str(p.pid) for p in ex._transport.procs), flush=True)\n"
+            "print('|'.join(s.name for s in ex._transport.blocks.segments.values()), flush=True)\n"
             "time.sleep(60)\n"
         )
         import repro

@@ -25,6 +25,11 @@ from repro.runtime import (
 )
 from repro.schedule import SemiDynamicScheduler, Task, TaskGraph, lpt_schedule
 
+from .test_runtime_faults import (
+    check_closed_executor_rejects_work,
+    check_schedule_mismatch,
+)
+
 
 def _graph(weights, deps=None):
     deps = deps or {}
@@ -262,23 +267,12 @@ class TestExecutors:
                 assert np.allclose(res[: program.num_states], expected)
 
     def test_threaded_executor_schedule_mismatch(self, compiled_small_bearing):
-        program = compiled_small_bearing.program
-        schedule = lpt_schedule(program.task_graph, 5)
-        with ThreadedExecutor(program, num_workers=2) as executor:
-            with pytest.raises(ValueError):
-                executor.evaluate(
-                    0.0, program.start_vector(), program.param_vector(),
-                    program.results_buffer(), schedule,
-                )
+        check_schedule_mismatch(ThreadedExecutor,
+                                compiled_small_bearing.program)
 
     def test_closed_executor_rejects_work(self, compiled_small_bearing):
-        program = compiled_small_bearing.program
-        executor = ThreadedExecutor(program, num_workers=1)
-        executor.close()
-        with pytest.raises(RuntimeError):
-            executor.evaluate(0.0, program.start_vector(),
-                              program.param_vector(),
-                              program.results_buffer())
+        check_closed_executor_rejects_work(ThreadedExecutor,
+                                           compiled_small_bearing.program)
 
 
 class TestParallelRhsFacades:

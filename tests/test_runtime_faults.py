@@ -7,9 +7,19 @@ pool degrades to serial execution, or the fault is unrecoverable — and
 every recovered evaluation is asserted bit-identical to
 ``SerialExecutor`` (tasks are pure functions of ``(t, y, p)`` on disjoint
 slots, so recovery must not change a single bit).
+
+The ladder is one implementation over two transports, so a case that
+does not depend on the kind of worker is written once, as a ``check_*``
+function taking the pool class, and run on both pools: from the classes
+below for ``ThreadedExecutor`` and from ``tests/test_process_executor.py``
+for ``ProcessExecutor``.  ``TestCoreOverFakeTransport`` drives the same
+core with no workers at all.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,16 +29,20 @@ from repro.runtime import (
     FaultSpec,
     InjectedFault,
     ParallelRHS,
+    ProcessExecutor,
     RetryPolicy,
     RuntimeEvents,
     SerialExecutor,
     TaskFailure,
     ThreadedExecutor,
 )
+from repro.runtime.supervisor import _Buffers, _PoolExecutor, serve
 from repro.schedule import lpt_schedule
 from repro.solver import solve_ivp
+from repro.solver.rk import DOPRI_A, DOPRI_C
 
 RECOVERABLE_MODES = ("raise", "nan", "inf")
+POOLS = [ThreadedExecutor, ProcessExecutor]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +74,463 @@ def _task_on_worker(program, num_workers, worker):
         if schedule.assignment[tid] == worker:
             return tid
     pytest.skip(f"no task scheduled on worker {worker}")
+
+
+# -- cases that hold for either pool ---------------------------------------------
+
+
+def check_retry_recovers(pool, program, reference, mode):
+    """A count=1 fault: the first re-execution on the same worker is
+    clean, and the round is bit-identical."""
+    tid = _task_on_worker(program, 2, worker=0)
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode=mode, worker=0, count=1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events) as executor:
+        res = _evaluate(executor, program)
+    assert np.array_equal(res, reference)
+    assert events.count("fault_injected") == 1
+    assert events.count("task_retry") == 1
+    assert events.count("task_reassigned") == 0
+    assert events.count("task_nonfinite") == (0 if mode == "raise" else 1)
+    assert not executor.degraded
+
+
+def check_hung_worker_hits_round_timeout(pool, program, reference):
+    tid = _task_on_worker(program, 2, worker=0)
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode="hang", worker=0, hang_seconds=1.5,
+                   count=1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events,
+              level_timeout=0.3) as executor:
+        start = time.monotonic()
+        res = _evaluate(executor, program)
+        assert time.monotonic() - start < 10.0  # no deadlock
+        assert np.array_equal(res, reference)
+    assert events.count("worker_timeout") == 1
+    assert events.count("worker_dead") == 1
+
+
+def check_kill_reassigns_dead_workers_tasks(pool, program, reference):
+    """A worker dies inside a task with no farewell message; the round
+    must complete bit-identically with the recovery logged, not
+    deadlock."""
+    tid = _task_on_worker(program, 2, worker=0)
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode="kill", worker=0, count=1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events,
+              level_timeout=5.0) as executor:
+        res = _evaluate(executor, program)
+        assert np.array_equal(res, reference)
+        # The dead worker's tasks went *somewhere* on the recovery
+        # ladder: reassigned if the survivor was idle at detection
+        # time, inline on the supervisor if it was still busy.
+        assert (events.count("task_reassigned")
+                + events.count("task_inline")
+                + events.count("worker_timeout")) >= 1
+        # The pool keeps working with the surviving worker.
+        assert np.array_equal(_evaluate(executor, program), reference)
+    assert events.count("worker_dead") == 1
+    assert events.of_kind("worker_dead")[0].data["worker"] == 0
+
+
+def check_all_workers_dead_degrades(pool, program, reference):
+    events = RuntimeEvents()
+    specs = [
+        FaultSpec(task_id=tid, mode="kill", worker=w, count=1)
+        for w in range(2)
+        for tid in [_task_on_worker(program, 2, w)]
+    ]
+    injector = FaultInjector(specs, events=events)
+    with pytest.warns(RuntimeWarning, match="degraded to serial"):
+        with pool(program, 2, injector=injector, events=events,
+                  level_timeout=5.0) as executor:
+            res = _evaluate(executor, program)
+            assert np.array_equal(res, reference)
+            assert executor.degraded
+    assert events.count("worker_dead") == 2
+    assert events.count("degraded") == 1
+
+
+def check_closed_executor_rejects_work(pool, program):
+    executor = pool(program, num_workers=1)
+    executor.close()
+    executor.close()  # idempotent
+    with pytest.raises(RuntimeError, match="closed"):
+        _evaluate(executor, program)
+
+
+def check_schedule_mismatch(pool, program):
+    schedule = lpt_schedule(program.task_graph, 5)
+    with pool(program, num_workers=2) as executor:
+        with pytest.raises(ValueError, match="schedule is for 5"):
+            executor.evaluate(
+                0.0, program.start_vector(), program.param_vector(),
+                program.results_buffer(), schedule,
+            )
+
+
+@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+def test_wrong_param_length(program, kind):
+    """A short parameter vector is refused before any task sees it (native
+    tasks would read past its end), at the facade for every executor and
+    at ``evaluate`` of both pools."""
+    make = {"serial": SerialExecutor,
+            "thread": lambda p: ThreadedExecutor(p, num_workers=1),
+            "process": lambda p: ProcessExecutor(p, num_workers=1)}[kind]
+    with make(program) as executor:
+        with pytest.raises(ValueError, match="parameter vector"):
+            ParallelRHS(program, executor, params=np.zeros(1))
+        if kind == "serial":
+            return
+        with pytest.raises(ValueError, match="parameter vector"):
+            executor.evaluate(0.0, program.start_vector(), np.zeros(1),
+                              program.results_buffer())
+        k = np.zeros((7, program.num_states))
+        with pytest.raises(ValueError, match="parameter vector"):
+            executor.evaluate_stages(
+                0.0, program.start_vector(), np.zeros(1), k, DOPRI_A,
+                DOPRI_C, 1e-6, 1, 7, program.results_buffer(),
+            )
+        assert executor.events.total_recorded == 0  # no ladder walked
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_degraded_pool_reports_no_dispatch_overhead(program, pool):
+    """A pool that runs everything inline has no round-trip to amortise,
+    even if a worker is left that could answer one; reporting it made the
+    K auto-tuner pick K > 1 for a degraded pool."""
+    tid = _task_on_worker(program, 2, worker=0)
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode="kill", worker=0, count=1)]
+    )
+    with pool(program, 2, injector=injector, min_workers=2,
+              level_timeout=5.0) as executor:
+        assert executor.measure_dispatch_overhead(trials=2) > 0.0
+        with pytest.warns(RuntimeWarning, match="degraded to serial"):
+            _evaluate(executor, program)
+        assert executor.degraded
+        assert executor.measure_dispatch_overhead(trials=2) == 0.0
+        rhs = ParallelRHS(program, executor, stage_chunk="auto")
+        assert rhs._resolve_stage_chunk(6) == 1
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_task_failure_carries_the_worker_side_error(program, pool):
+    """The task raises on every worker and only poisons its output
+    inline, so the cause on the TaskFailure can only have come from a
+    worker."""
+    tid = _task_on_worker(program, 2, worker=0)
+    plan = [FaultSpec(task_id=tid, mode="raise", worker=w, count=-1)
+            for w in range(2)]
+    plan.append(FaultSpec(task_id=tid, mode="nan", count=-1))
+    with pool(program, 2, injector=FaultInjector(plan)) as executor:
+        with pytest.raises(TaskFailure, match="non-finite") as excinfo:
+            _evaluate(executor, program)
+    assert excinfo.value.task_id == tid
+    assert isinstance(excinfo.value.cause, InjectedFault)
+
+
+# -- the core, driven without workers --------------------------------------------
+
+
+class _OpenBarrier:
+    """The in-round barrier of a transport whose workers run one after
+    the other: nobody to wait for."""
+
+    def wait(self, timeout):
+        pass
+
+    def abort(self):
+        pass
+
+
+class FakeTransport:
+    """A scripted transport with no threads, processes or sleeps.
+
+    ``send`` runs the job on the spot through the real worker-side
+    ``serve`` and hands the reply to ``script(transport, worker, job,
+    reply)``, which returns what "arrives" at the supervisor: the reply
+    itself, a doctored or stale one, ``None`` for end-of-stream, or
+    nothing at all (after adding the worker to ``dead``, or the core
+    waits out its ``level_timeout``).
+    """
+
+    max_stages = 8
+
+    def __init__(self, executor, script):
+        self.tasks = list(executor.program.task_callables())
+        self.times = executor.last_task_times
+        self.script = script
+        self.dead: set[int] = set()         # alive() is False
+        self.unreachable: set[int] = set()  # send() fails
+        self.sent: list = []
+        self.killed: list[int] = []
+        self.aborted: list[int] = []
+        self.bufs = None
+        self._arrived: list = []
+
+    def bind(self, y, p, res):
+        self.bufs = _Buffers(y, p, res)
+        return self.bufs
+
+    def bind_stages(self, y, p, res, k, start, nstages, participants):
+        stage_res = np.zeros((nstages, res.size))
+        self.bufs = _Buffers(y, p, None, k, stage_res)
+        return stage_res
+
+    def gather(self, res, times):
+        pass
+
+    def send(self, worker, job):
+        if worker in self.unreachable:
+            return False
+        self.sent.append((worker, job))
+        reply = serve(job, worker, self.tasks, self.times, self.bufs,
+                      _OpenBarrier())
+        self._arrived += [
+            (worker, r) for r in self.script(self, worker, job, reply)
+        ]
+        return True
+
+    def replies(self, workers, timeout):
+        arrived, self._arrived = self._arrived, []
+        return arrived
+
+    def alive(self, worker):
+        return worker not in self.dead
+
+    def why_dead(self, worker):
+        return "scripted death"
+
+    def kill(self, worker):
+        self.killed.append(worker)
+
+    def abort_stages(self, epoch):
+        self.aborted.append(epoch)
+
+    def close(self, join_timeout):
+        return []
+
+
+class FakePool(_PoolExecutor):
+    def __init__(self, program, num_workers, script, **options):
+        options.setdefault("retry_policy", RetryPolicy(backoff=0.0))
+        super().__init__(program, num_workers, **options)
+        self._transport = FakeTransport(self, script)
+
+
+def deliver(transport, worker, job, reply):
+    return [reply]
+
+
+def failing(tid, workers):
+    """Every dispatch of ``tid`` to one of ``workers`` comes back failed
+    on it (plain rounds only)."""
+
+    def script(transport, worker, job, reply):
+        if worker in workers and not job.stop and tid in job.tasks:
+            reply = reply._replace(
+                completed=job.tasks[: job.tasks.index(tid)],
+                error=RuntimeError("scripted"), failed_tid=tid,
+            )
+        return [reply]
+
+    return script
+
+
+def dying(workers):
+    """The first job sent to each of ``workers`` kills it silently."""
+
+    def script(transport, worker, job, reply):
+        if worker in workers:
+            transport.dead.add(worker)
+            return []
+        return [reply]
+
+    return script
+
+
+class TestCoreOverFakeTransport:
+    """The round protocol and the recovery ladder, deterministically: the
+    transport interface is small enough to fake in memory."""
+
+    def kinds(self, pool):
+        return [e.kind for e in pool.events]
+
+    def test_clean_round_sends_one_job_per_worker_and_level(
+        self, program, reference
+    ):
+        with FakePool(program, 2, deliver) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            schedule = lpt_schedule(program.task_graph, 2)
+            for worker, job in pool._transport.sent:
+                assert all(schedule.assignment[t] == worker
+                           for t in job.tasks)
+            assert sorted(t for _, job in pool._transport.sent
+                          for t in job.tasks) == list(range(program.num_tasks))
+            assert pool.events.total_recorded == 0
+            assert pool.last_task_times.sum() > 0
+
+    def test_ladder_retry_then_reassign_then_inline(self, program, reference):
+        tid = _task_on_worker(program, 2, worker=1)
+        # Worker 1 fails the task every time: retried there, then moved.
+        with FakePool(program, 2, failing(tid, {1})) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert self.kinds(pool) == [
+                "task_error", "task_retry", "task_error", "task_retry",
+                "task_error", "task_reassigned",
+            ]
+            moved = pool.events.of_kind("task_reassigned")[0].data
+            assert moved["from_worker"] == 1 and moved["to_worker"] == 0
+            # A retry carries only what is still to do, from the failed
+            # task on.
+            retries = [job for w, job in pool._transport.sent
+                       if w == 1 and tid in job.tasks][1:]
+            assert len(retries) == 2
+            assert all(job.tasks[0] == tid for job in retries)
+        # Both workers fail it: the supervisor runs it inline.
+        with FakePool(program, 2, failing(tid, {0, 1})) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert self.kinds(pool).count("task_error") == 6
+            inline = pool.events.of_kind("task_inline")[0].data
+            assert tid in inline["tasks"] and inline["from_worker"] == 0
+            assert not pool.degraded
+
+    def test_deaths_reassign_then_degrade(self, program, reference):
+        with FakePool(program, 2, dying({0})) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            transport = pool._transport
+            assert transport.killed == [0]  # death is made final
+            dead = pool.events.of_kind("worker_dead")[0].data
+            assert dead == {"worker": 0, "reason": "scripted death"}
+            assert pool.events.count("task_reassigned") >= 1
+            assert not pool.degraded
+            # Later rounds remap the dead worker's tasks up front.
+            sent = len(transport.sent)
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert all(w == 1 for w, _ in transport.sent[sent:])
+            # The last worker goes too: serial from here on.
+            transport.script = dying({1})
+            with pytest.warns(RuntimeWarning, match="degraded to serial"):
+                assert np.array_equal(_evaluate(pool, program), reference)
+            assert pool.degraded and pool.events.count("degraded") == 1
+            sent = len(transport.sent)
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert len(transport.sent) == sent
+            assert pool.measure_dispatch_overhead() == 0.0
+
+    def test_stale_and_duplicate_replies_are_dropped(self, program, reference):
+        def script(transport, worker, job, reply):
+            stale = reply._replace(
+                epoch=reply.epoch - 1, error=RuntimeError("old"),
+                failed_tid=0,
+            )
+            return [stale, reply, reply._replace(error=RuntimeError("dup"))]
+
+        with FakePool(program, 2, script) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert pool.events.total_recorded == 0
+
+    def test_end_of_stream_and_failed_send(self, program, reference):
+        def eof(transport, worker, job, reply):
+            if worker == 0:
+                transport.dead.add(0)
+                return [None]
+            return [reply]
+
+        with FakePool(program, 2, eof) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert pool.events.count("worker_dead") == 1
+        with FakePool(program, 2, deliver) as pool:
+            pool._transport.unreachable.add(0)
+            assert np.array_equal(_evaluate(pool, program), reference)
+            dead = pool.events.of_kind("worker_dead")[0].data
+            assert dead == {"worker": 0, "reason": "pipe closed"}
+            # Worker 1 was sent each of its jobs once: a failed send must
+            # not fail over onto a worker whose own job is still to go out.
+            epochs = [job.epoch for w, job in pool._transport.sent]
+            assert len(epochs) == len(set(epochs))
+
+    def test_silent_worker_runs_into_the_round_timeout(
+        self, program, reference
+    ):
+        tid = _task_on_worker(program, 2, worker=0)
+
+        def script(transport, worker, job, reply):
+            return [] if worker == 0 else [reply]
+
+        with FakePool(program, 2, script, level_timeout=1e-3) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            timeout = pool.events.of_kind("worker_timeout")[0].data
+            assert timeout["worker"] == 0 and tid in timeout["tasks"]
+            assert pool._transport.killed == [0]
+
+    def _stages(self, executor, program):
+        y, p = program.start_vector(), program.param_vector()
+        res = program.results_buffer()
+        k = np.zeros((7, program.num_states))
+        executor.evaluate(0.0, y, p, res)
+        k[0] = res[: program.num_states]
+        executor.evaluate_stages(0.0, y, p, k, DOPRI_A, DOPRI_C, 1e-6, 1, 7,
+                                 res)
+        return k
+
+    def test_optimistic_chunk_on_one_worker(self, program):
+        expected = self._stages(SerialExecutor(program), program)
+        with FakePool(program, 1, deliver) as pool:
+            assert np.array_equal(self._stages(pool, program), expected)
+            assert [job.stop for _, job in pool._transport.sent][-1] == 7
+            assert pool.last_times_rounds == 6
+            assert pool.events.total_recorded == 0
+
+    def test_chunk_abort_and_per_stage_replay(self, program):
+        expected = self._stages(SerialExecutor(program), program)
+        held = []
+
+        def script(transport, worker, job, reply):
+            if not job.stop:
+                # Stragglers of the aborted chunk turn up mid-replay.
+                late, held[:] = list(held), []
+                return late + [reply]
+            if worker == 1:
+                return [reply._replace(error=RuntimeError("scripted"),
+                                       failed_tid=3)]
+            held.append(reply._replace(
+                error=threading.BrokenBarrierError()))
+            return []
+
+        with FakePool(program, 2, script) as pool:
+            assert np.array_equal(self._stages(pool, program), expected)
+            assert self.kinds(pool) == ["stage_task_error",
+                                        "stage_round_aborted"]
+            error = pool.events.of_kind("stage_task_error")[0].data
+            assert error == {"task": 3, "worker": 1, "error": "RuntimeError"}
+            chunk_epochs = {job.epoch for _, job in pool._transport.sent
+                            if job.stop}
+            assert pool._transport.aborted == list(chunk_epochs)
+            assert pool.last_times_rounds == 1
+
+    def test_nonfinite_stage_row_aborts_the_chunk(self, program):
+        expected = self._stages(SerialExecutor(program), program)
+
+        def script(transport, worker, job, reply):
+            if job.stop:
+                transport.bufs.stage_res[2, 0] = np.inf
+            return [reply]
+
+        with FakePool(program, 1, script) as pool:
+            assert np.array_equal(self._stages(pool, program), expected)
+            assert self.kinds(pool) == ["stage_nonfinite",
+                                        "stage_round_aborted"]
 
 
 class TestFaultSpec:
@@ -117,18 +588,7 @@ class TestRetrySucceeds:
 
     @pytest.mark.parametrize("mode", RECOVERABLE_MODES)
     def test_bit_identical_after_retry(self, program, reference, mode):
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=1, mode=mode, count=1)], events=events
-        )
-        with ThreadedExecutor(program, 2, injector=injector,
-                              events=events) as executor:
-            res = _evaluate(executor, program)
-        assert np.array_equal(res, reference)
-        assert events.count("fault_injected") == 1
-        assert events.count("task_retry") == 1
-        assert events.count("task_reassigned") == 0
-        assert not executor.degraded
+        check_retry_recovers(ThreadedExecutor, program, reference, mode)
 
     def test_hang_within_deadline_is_transparent(self, program, reference):
         # A bounded hang shorter than the level deadline is just a slow
@@ -167,20 +627,8 @@ class TestReassignmentSucceeds:
         assert reassign.data["from_worker"] == 0
 
     def test_kill_reassigns_dead_workers_tasks(self, program, reference):
-        tid = _task_on_worker(program, 2, worker=0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode="kill", worker=0, count=1)],
-            events=events,
-        )
-        with ThreadedExecutor(program, 2, injector=injector, events=events,
-                              level_timeout=5.0) as executor:
-            res = _evaluate(executor, program)
-            assert np.array_equal(res, reference)
-            # The pool keeps working with the surviving worker.
-            assert np.array_equal(_evaluate(executor, program), reference)
-        assert events.count("worker_dead") == 1
-        assert events.of_kind("worker_dead")[0].data["worker"] == 0
+        check_kill_reassigns_dead_workers_tasks(ThreadedExecutor, program,
+                                                reference)
 
 
 class TestDegradation:
@@ -206,21 +654,7 @@ class TestDegradation:
         assert events.count("degraded") == 1
 
     def test_all_workers_dead_degrades(self, program, reference):
-        events = RuntimeEvents()
-        specs = [
-            FaultSpec(task_id=tid, mode="kill", worker=w, count=1)
-            for w in range(2)
-            for tid in [_task_on_worker(program, 2, w)]
-        ]
-        injector = FaultInjector(specs, events=events)
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            with ThreadedExecutor(program, 2, injector=injector,
-                                  events=events,
-                                  level_timeout=5.0) as executor:
-                res = _evaluate(executor, program)
-                assert np.array_equal(res, reference)
-                assert executor.degraded
-        assert events.count("worker_dead") == 2
+        check_all_workers_dead_degrades(ThreadedExecutor, program, reference)
 
 
 class TestUnrecoverable:
@@ -270,17 +704,8 @@ class TestBarrierDeadlockRegression:
         assert executor.degraded
 
     def test_hung_worker_hits_barrier_timeout(self, program, reference):
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=0, mode="hang", hang_seconds=1.5, count=1)],
-            events=events,
-        )
-        with ThreadedExecutor(program, 2, injector=injector, events=events,
-                              level_timeout=0.3) as executor:
-            res = _evaluate(executor, program)
-            assert np.array_equal(res, reference)
-        assert events.count("worker_timeout") == 1
-        assert events.count("worker_dead") == 1
+        check_hung_worker_hits_round_timeout(ThreadedExecutor, program,
+                                             reference)
 
 
 class TestClose:
