@@ -3,12 +3,14 @@
 The hot path of the ensemble and checkpoint/resume workloads is
 *recompiling an unchanged model*: the flat equation system is identical,
 only runtime inputs differ.  This module fingerprints the flattened model
-(a canonical JSON form of the hash-consed expression trees) together with
+(a canonical JSON form of the hash-consed expression DAG) together with
 the codegen options, and persists everything downstream of analysis — the
 SCC partition, the ODE system, the verify report, the task plan, and the
 generated module sources — keyed by that content hash.  A cache hit
 rebuilds the executable modules with a single ``exec`` and skips the
-analysis and code-generation passes entirely.
+analysis and code-generation passes entirely.  Expressions are stored as
+one node table per artifact (:mod:`repro.symbolic.serialize`): each
+distinct node once, so a hit costs what the DAG costs, not its expansion.
 
 Two layers:
 
@@ -61,9 +63,11 @@ from ..codegen.transform import OdeSystem
 from ..codegen.verify import VerifyReport
 from ..model.flatten import ArrayFlatModel, FlatModel
 from ..schedule.task import Task, TaskGraph
+from ..symbolic.expr import Expr
 from ..symbolic.serialize import (
-    expr_from_obj,
-    expr_to_obj,
+    ExprTable,
+    decode_nodes,
+    pick_roots,
     system_from_obj,
     system_to_obj,
 )
@@ -83,8 +87,9 @@ __all__ = [
 ]
 
 #: bumped whenever the artifact JSON layout changes; part of every key
-#: (2: native C translation unit added for backend="c")
-ARTIFACT_FORMAT = 2
+#: (2: native C translation unit added for backend="c"; 3: expressions
+#: stored as one node table per artifact instead of nested trees)
+ARTIFACT_FORMAT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +106,26 @@ def flat_model_to_obj(flat: FlatModel) -> dict[str, Any]:
     ordering.
     """
 
+    table = ExprTable()
+
     def var_obj(v) -> list:
         return [v.name, v.kind.name, v.start, v.value]
+
+    def equations(of) -> dict[str, list]:
+        """The three equation lists of the model or of one family group."""
+        return {
+            "odes": [
+                [eq.state, table.add(eq.rhs), eq.label] for eq in of.odes
+            ],
+            "explicit_algs": [
+                [eq.var, table.add(eq.rhs), eq.label]
+                for eq in of.explicit_algs
+            ],
+            "implicit": [
+                [table.add(eq.lhs), table.add(eq.rhs), eq.label]
+                for eq in of.implicit
+            ],
+        }
 
     obj: dict[str, Any] = {
         "name": flat.name,
@@ -110,17 +133,7 @@ def flat_model_to_obj(flat: FlatModel) -> dict[str, Any]:
         "states": [var_obj(v) for v in flat.states.values()],
         "algebraics": [var_obj(v) for v in flat.algebraics.values()],
         "parameters": [var_obj(v) for v in flat.parameters.values()],
-        "odes": [
-            [eq.state, expr_to_obj(eq.rhs), eq.label] for eq in flat.odes
-        ],
-        "explicit_algs": [
-            [eq.var, expr_to_obj(eq.rhs), eq.label]
-            for eq in flat.explicit_algs
-        ],
-        "implicit": [
-            [expr_to_obj(eq.lhs), expr_to_obj(eq.rhs), eq.label]
-            for eq in flat.implicit
-        ],
+        **equations(flat),
     }
     if isinstance(flat, ArrayFlatModel):
         # An array flat model carries family-member equations only as
@@ -135,21 +148,12 @@ def flat_model_to_obj(flat: FlatModel) -> dict[str, Any]:
                 "base": g.family.base,
                 "count": g.count,
                 "representative": g.family.representative.name,
-                "odes": [
-                    [eq.state, expr_to_obj(eq.rhs), eq.label]
-                    for eq in g.odes
-                ],
-                "explicit_algs": [
-                    [eq.var, expr_to_obj(eq.rhs), eq.label]
-                    for eq in g.explicit_algs
-                ],
-                "implicit": [
-                    [expr_to_obj(eq.lhs), expr_to_obj(eq.rhs), eq.label]
-                    for eq in g.implicit
-                ],
+                **equations(g),
             }
             for g in flat.groups
         ]
+    # every equation above is a row index into this one table
+    obj["nodes"] = table.rows
     return obj
 
 
@@ -237,15 +241,14 @@ def _partition_from_obj(obj: dict[str, Any]) -> Partition:
     )
 
 
-def _plan_to_obj(plan: TaskPlan) -> dict[str, Any]:
+def _plan_to_obj(plan: TaskPlan, table: ExprTable) -> dict[str, Any]:
     return {
         "bodies": [
             {
                 "task_id": b.task_id,
                 "name": b.name,
-                "assignments": [
-                    [a.target, expr_to_obj(a.expr)] for a in b.assignments
-                ],
+                "targets": [a.target for a in b.assignments],
+                "roots": [table.add(a.expr) for a in b.assignments],
             }
             for b in plan.bodies
         ],
@@ -269,15 +272,16 @@ def _plan_to_obj(plan: TaskPlan) -> dict[str, Any]:
     }
 
 
-def _plan_from_obj(obj: dict[str, Any]) -> TaskPlan:
+def _plan_from_obj(obj: dict[str, Any], nodes: list[Expr]) -> TaskPlan:
     bodies = tuple(
         TaskBody(
             task_id=b["task_id"],
             name=b["name"],
-            assignments=tuple(
-                Assignment(target, expr_from_obj(expr))
-                for target, expr in b["assignments"]
-            ),
+            assignments=tuple(map(
+                Assignment,
+                b["targets"],
+                pick_roots(nodes, b["roots"], len(b["targets"])),
+            )),
         )
         for b in obj["bodies"]
     )
@@ -293,6 +297,8 @@ def _plan_from_obj(obj: dict[str, Any]) -> TaskPlan:
         )
         for t in obj["tasks"]
     ]
+    if [b.task_id for b in bodies] != [t.task_id for t in tasks]:
+        raise ValueError("task bodies do not match the task graph")
     return TaskPlan(
         bodies=bodies,
         graph=TaskGraph(tasks),
@@ -345,12 +351,15 @@ class CompiledArtifacts:
     native_source: "NativeSource | None" = None
 
     def to_obj(self, model_hash: str, key: str) -> dict[str, Any]:
+        # one node table under system.rhs and every plan assignment: they
+        # are the same DAG, cut two ways
+        table = ExprTable()
         return {
             "format": ARTIFACT_FORMAT,
             "model": self.system.name,
             "model_hash": model_hash,
             "key": key,
-            "system": system_to_obj(self.system),
+            "system": system_to_obj(self.system, table),
             "partition": _partition_to_obj(self.partition),
             "verify_report": {
                 "num_rhs": self.verify_report.num_rhs,
@@ -358,7 +367,8 @@ class CompiledArtifacts:
                 "functions_used": list(self.verify_report.functions_used),
                 "symbols_used": list(self.verify_report.symbols_used),
             },
-            "plan": _plan_to_obj(self.plan),
+            "plan": _plan_to_obj(self.plan, table),
+            "nodes": table.rows,
             "module": _module_to_obj(self.module),
             "vector_module": (
                 None
@@ -378,16 +388,17 @@ class CompiledArtifacts:
         vr = obj["verify_report"]
         mod = obj["module"]
         vmod = obj["vector_module"]
+        nodes = decode_nodes(obj["nodes"])
         return cls(
             partition=_partition_from_obj(obj["partition"]),
-            system=system_from_obj(obj["system"]),
+            system=system_from_obj(obj["system"], nodes),
             verify_report=VerifyReport(
                 num_rhs=vr["num_rhs"],
                 num_nodes=vr["num_nodes"],
                 functions_used=tuple(vr["functions_used"]),
                 symbols_used=tuple(vr["symbols_used"]),
             ),
-            plan=_plan_from_obj(obj["plan"]),
+            plan=_plan_from_obj(obj["plan"], nodes),
             module=load_python_module(name=name, **mod),
             vector_module=(
                 None if vmod is None else load_numpy_module(name=name, **vmod)
@@ -550,10 +561,16 @@ class ArtifactCache:
                     raise ValueError("artifact format mismatch")
                 artifacts = CompiledArtifacts.from_obj(obj)
             except (ValueError, KeyError, TypeError, OSError,
-                    UnicodeDecodeError) as exc:
+                    UnicodeDecodeError, AttributeError, IndexError,
+                    SyntaxError, RecursionError) as exc:
                 # A corrupt or stale artifact is a miss, never an error —
                 # but not a *silent* miss: quarantine the bytes and emit
-                # an event, then let the compiler regenerate.
+                # an event, then let the compiler regenerate.  Valid JSON
+                # of the wrong shape lands here too: a non-object document
+                # (AttributeError), a sequence shorter than its consumer
+                # indexes (IndexError), a damaged module source
+                # (SyntaxError), nesting past the interpreter's recursion
+                # limit (RecursionError).
                 self._quarantine(key, path, f"{type(exc).__name__}: {exc}")
                 self.misses += 1
                 return None

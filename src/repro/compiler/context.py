@@ -240,6 +240,7 @@ class CompilationContext:
 
         Used by the pass manager to report before/after node counts: the
         ODE system supersedes the flat model once the transformer has run.
+        Tree sizes are memoised per interned node, so this is O(roots).
         """
         from ..symbolic.expr import count_nodes
 
@@ -251,14 +252,11 @@ class CompilationContext:
                 rhs = self.system.symbolic_rhs
             return sum(count_nodes(r) for r in rhs)
         if self.flat is not None:
-            total = 0
-            for eq in self.flat.odes:
-                total += count_nodes(eq.rhs)
-            for eq in self.flat.explicit_algs:
-                total += count_nodes(eq.rhs)
-            for eq in self.flat.implicit:
-                total += count_nodes(eq.lhs) + count_nodes(eq.rhs)
-            return total
+            flat = self.flat
+            return sum(
+                count_nodes(eq.rhs)
+                for eq in (*flat.odes, *flat.explicit_algs, *flat.implicit)
+            ) + sum(count_nodes(eq.lhs) for eq in flat.implicit)
         return 0
 
     def snapshot(self) -> str:

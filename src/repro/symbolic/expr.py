@@ -109,6 +109,7 @@ def _fresh(cls) -> "Expr":
     obj._hash = None
     obj._skey = None
     obj._free = None
+    obj._size = None
     return obj
 
 
@@ -122,11 +123,11 @@ class Expr:
 
     Construction happens in each subclass's ``__new__`` (which consults the
     intern table); ``__init__`` is a deliberate no-op so that a cache hit
-    does not wipe the cached ``_hash``/``_skey``/``_free`` of the returned
-    canonical instance.
+    does not wipe the cached ``_hash``/``_skey``/``_free``/``_size`` of the
+    returned canonical instance.
     """
 
-    __slots__ = ("_hash", "_skey", "_free")
+    __slots__ = ("_hash", "_skey", "_free", "_size")
 
     #: class-level rank used for cross-type deterministic ordering
     _rank = 0
@@ -957,5 +958,19 @@ def free_symbols(expr: Expr) -> frozenset[Sym]:
 
 
 def count_nodes(expr: Expr) -> int:
-    """Total number of AST nodes in ``expr`` (shared subtrees counted anew)."""
-    return sum(1 for _ in preorder(expr))
+    """Total number of AST nodes in ``expr`` (shared subtrees counted anew).
+
+    Memoised per node like :func:`free_symbols` (``1 + sum of child
+    sizes``), so the tree size of a heavily shared DAG costs one visit per
+    distinct node, once per process.
+    """
+    stack = [expr] if expr._size is None else []
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.args if c._size is None]
+        if pending:
+            stack.extend(pending)
+        else:
+            node._size = 1 + sum(c._size for c in node.args)
+            stack.pop()
+    return expr._size

@@ -13,9 +13,12 @@ import math
 from hypothesis import strategies as st
 
 from repro.symbolic import (
+    BoolOp,
     Const,
+    Der,
     Expr,
     ITE,
+    Reduce,
     Rel,
     Sym,
     add,
@@ -70,6 +73,31 @@ def expressions(max_depth: int = 4) -> st.SearchStrategy:
         )
 
     return st.recursive(leaves, extend, max_leaves=2**max_depth)
+
+
+def structural_expressions() -> st.SearchStrategy:
+    """:func:`expressions` plus the node kinds evaluation-based tests leave
+    out — ``Der``, ``BoolOp`` conditions, array-family ``Reduce`` sums —
+    alone and combined under the canonicalising constructors."""
+    base = expressions(max_depth=3)
+    cond = st.tuples(base, base).map(lambda ab: Rel("<=", ab[0], ab[1]))
+    special = st.one_of(
+        base.map(Der),
+        st.tuples(base, st.integers(0, 3), st.integers(1, 40)).map(
+            lambda t: Reduce(t[0], "W", t[1], t[2])
+        ),
+        st.tuples(cond, cond, base, base).map(
+            lambda t: ITE(
+                BoolOp("or", [t[0], BoolOp("not", [t[1]])]), t[2], t[3]
+            )
+        ),
+    )
+    return st.one_of(
+        base,
+        special,
+        st.tuples(special, base).map(lambda ab: add(ab[0], ab[1])),
+        st.tuples(special, special).map(lambda ab: mul(ab[0], ab[1])),
+    )
 
 
 def environments() -> st.SearchStrategy:

@@ -255,6 +255,31 @@ class TestArtifactCache:
         assert ctx2.metrics["cache_hit"] is False
         assert ctx2.program is not None
 
+    def test_artifact_follows_the_dag_not_its_expansion(self, tmp_path):
+        """Count-based tripwire (no timing): a hit decodes each distinct
+        node once — the tree form of this model is 126 565 nodes and a
+        1.8 MB file with the C unit, 0.9 MB without."""
+        from repro.symbolic import intern_cache_clear, intern_cache_size
+
+        root = tmp_path / "cache"
+        intern_cache_clear()
+        cold = compile_context(
+            model=build_bearing2d(BearingParams(num_rollers=32)),
+            options=CompileOptions(cache=ArtifactCache(root)),
+        )
+        interned = intern_cache_size()
+        warm = compile_context(
+            model=build_bearing2d(BearingParams(num_rollers=32)),
+            options=CompileOptions(cache=ArtifactCache(root)),
+        )
+        assert warm.metrics["cache_hit"] is True
+        assert warm.system == cold.system
+        assert warm.plan.bodies == cold.plan.bodies
+        assert all(a is b for a, b in zip(warm.system.rhs, cold.system.rhs))
+        artifact = root / f"{cold.cache_key}.json"
+        assert len(json.loads(artifact.read_text())["nodes"]) <= 1.2 * interned
+        assert artifact.stat().st_size < 700_000
+
     def test_memory_only_cache(self):
         cache = ArtifactCache()
         opts = CompileOptions(cache=cache)

@@ -409,6 +409,36 @@ class TestPipelineIntegration:
             ctx2.program.rhs(t, y), ctx1.program.rhs(t, y)
         )
 
+    @pytest.mark.parametrize("app", ["servo", "powerplant", "bearing2d"])
+    def test_warm_hit_program_is_the_cold_program(self, app, tmp_path):
+        root = tmp_path / "artifacts"
+        ctxs = [
+            compile_context(
+                model=_BUILDERS[app](),
+                options=CompileOptions(
+                    backend="c", cache=ArtifactCache(root),
+                    native_cache=NativeCache(tmp_path / "native"),
+                ),
+            )
+            for _ in range(2)
+        ]
+        assert [c.metrics["cache_hit"] for c in ctxs] == [False, True]
+        cold, warm = (c.program for c in ctxs)
+        assert warm.backend == cold.backend == "c"
+        assert warm.module.source == cold.module.source
+        assert ctxs[1].native_source == ctxs[0].native_source
+        assert list(warm.task_graph) == list(cold.task_graph)
+        assert [warm.task_output_slots(i) for i in range(warm.num_tasks)] \
+            == [cold.task_output_slots(i) for i in range(cold.num_tasks)]
+        assert all(a is b for a, b in zip(warm.system.rhs, cold.system.rhs))
+        assert warm.plan.bodies == cold.plan.bodies
+        y, p = cold.start_vector() + 0.01, cold.param_vector()
+        assert np.array_equal(warm.rhs(0.2, y), cold.rhs(0.2, y))  # native
+        a, b = np.empty_like(y), np.empty_like(y)
+        cold.module.rhs(0.2, y, p, a)
+        warm.module.rhs(0.2, y, p, b)
+        assert np.array_equal(a, b)
+
     def test_warm_native_link_is_fast(self, tmp_path):
         """Warm-cache native compile: link_native adds < 50 ms."""
         cache = ArtifactCache(tmp_path / "artifacts")

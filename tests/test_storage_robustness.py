@@ -281,6 +281,102 @@ class TestCacheCrashConsistency:
         assert not list((root / "locks").glob("*"))
 
 
+def _deep_chain(obj):
+    # sin(sin(...sin(x))) 3 000 deep, then summed: the decoder itself is
+    # iterative, the canonical ordering of the sum is not
+    nodes = obj["nodes"]
+    base = len(nodes)
+    nodes.append(["sym", [], "deep_chain_x"])
+    for i in range(3000):
+        nodes.append(["call", [base + i], "sin"])
+    nodes.append(["sym", [], "deep_chain_y"])
+    nodes.append(["add", [base + 3000, base + 3001]])
+    obj["system"]["rhs"][0] = base + 3002
+    return obj
+
+
+def _at(obj, steps):
+    for step in steps:
+        obj = obj[step]
+    return obj
+
+
+def _set(*steps, to):
+    def tamper(obj):
+        _at(obj, steps[:-1])[steps[-1]] = to
+        return obj
+    return tamper
+
+
+def _drop_last(*steps):
+    def tamper(obj):
+        _at(obj, steps).pop()
+        return obj
+    return tamper
+
+
+#: artifacts that are valid JSON but not a valid artifact: parsed object ->
+#: the object (or the raw text) to put in its place
+_MALFORMED = {
+    "not an object": lambda obj: [],
+    "module source is not python": _set("module", "source", to="def (:\n"),
+    "json nested past the recursion limit":
+        lambda obj: "[" * 200_000 + "]" * 200_000,
+    "3000-deep expression": _deep_chain,
+    "truncated system.rhs": _drop_last("system", "rhs"),
+    "truncated start_values": _drop_last("system", "start_values"),
+    "truncated param_values": _drop_last("system", "param_values"),
+    "truncated body roots": _drop_last("plan", "bodies", 0, "roots"),
+    "body/task id mismatch": _set("plan", "bodies", 0, "task_id", to=99),
+    "forward child index": lambda obj: dict(
+        obj, nodes=[["add", [1, 2]]] + obj["nodes"]),
+    "negative root index": _set("system", "rhs", 0, to=-1),
+    "float root index": _set("system", "rhs", 0, to=0.0),
+    "node table missing": lambda obj: {
+        k: v for k, v in obj.items() if k != "nodes"},
+    "node row too short": lambda obj: dict(obj, nodes=[["add"]]),
+}
+
+
+class TestMalformedArtifacts:
+    """Valid JSON of the wrong shape is a quarantined miss, never a
+    traceback and never a hit."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_is_quarantined_miss(self, tmp_path, case):
+        events = RuntimeEvents()
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root, events=events)
+        ctx = compile_into(cache)
+        artifact = root / f"{ctx.cache_key}.json"
+        tampered = _MALFORMED[case](json.loads(artifact.read_text()))
+        artifact.write_text(
+            tampered if isinstance(tampered, str) else json.dumps(tampered)
+        )
+        cache.drop_memory()
+        assert cache.load(ctx.cache_key) is None
+        assert cache.quarantined == 1
+        assert events.count("cache_quarantined") == 1
+        assert not artifact.exists()
+        # and the compiler recovers through the ordinary miss path
+        again = compile_into(cache)
+        assert not again.cache_hit
+        cache.drop_memory()
+        assert compile_into(cache).cache_hit
+
+    def test_old_format_artifact_is_quarantined(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        ctx = compile_into(cache)
+        artifact = root / f"{ctx.cache_key}.json"
+        obj = json.loads(artifact.read_text())
+        obj["format"] = 2
+        artifact.write_text(json.dumps(obj))
+        cache.drop_memory()
+        assert cache.load(ctx.cache_key) is None
+        assert cache.quarantined == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX-only flock")
 class TestCacheLocking:
     def test_no_lock_files_leak_after_store(self, tmp_path):
