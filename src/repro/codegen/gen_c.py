@@ -26,7 +26,7 @@ from ..schedule.lpt import Schedule
 from ..symbolic.cse import cse, cse_grouped
 from ..symbolic.expr import Expr, free_symbols
 from ..symbolic.printer import code as expr_code
-from .gen_python import NameTable
+from .gen_python import JacEntries, NameTable, _jac_entries
 from .tasks import TaskPlan, partition_tasks
 from .transform import OdeSystem
 
@@ -92,8 +92,8 @@ class NativeSource:
         )
 
 
-def _emit_block(
-    targets: Sequence[tuple[str, Expr]],
+def _emit_loads(
+    exprs: Sequence[Expr],
     replacements: Sequence[tuple],
     system: OdeSystem,
     partial_index: Mapping[str, int],
@@ -101,13 +101,15 @@ def _emit_block(
     indent: str,
     emitted: set[str] | None = None,
 ) -> list[str]:
+    """Loads of every symbol the body reads (minus ``emitted``), then its
+    CSE temporaries."""
     n = len(system.state_names)
     state_index = {s: i for i, s in enumerate(system.state_names)}
     param_index = {s: i for i, s in enumerate(system.param_names)}
     local = {sym.name for sym, _ in replacements}
 
     used: set[str] = set()
-    for _, e in targets:
+    for e in exprs:
         used.update(s.name for s in free_symbols(e))
     for _, d in replacements:
         used.update(s.name for s in free_symbols(d))
@@ -143,7 +145,24 @@ def _emit_block(
             f"{indent}const double {ident} = "
             f"{expr_code(definition, 'c', names)};"
         )
+    return lines
 
+
+def _emit_block(
+    targets: Sequence[tuple[str, Expr]],
+    replacements: Sequence[tuple],
+    system: OdeSystem,
+    partial_index: Mapping[str, int],
+    names: NameTable,
+    indent: str,
+    emitted: set[str] | None = None,
+) -> list[str]:
+    n = len(system.state_names)
+    state_index = {s: i for i, s in enumerate(system.state_names)}
+    lines = _emit_loads(
+        [e for _, e in targets], replacements, system, partial_index,
+        names, indent, emitted,
+    )
     for target, expr in targets:
         text = expr_code(expr, "c", names)
         if not target.startswith("der:"):
@@ -244,10 +263,8 @@ def generate_c(
         lines.append("}")
 
     if jacobian:
-        from .gen_fortran import _jacobian_entries
-
         names = NameTable(reserved=["t", "yin", "p", "dfdy", "n"])
-        entries = _jacobian_entries(system)
+        entries = _jac_entries(system)
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="jcse",
             min_ops=cse_min_ops,
@@ -262,34 +279,11 @@ def generate_c(
         lines.append(
             f"  for (int k = 0; k < {nn * nn}; ++k) dfdy[k] = 0.0;"
         )
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
-        for name in sorted(used):
-            ident = names(name)
-            if name == system.free_var:
-                lines.append(f"  const double {ident} = t;")
-            elif name in state_index:
-                lines.append(
-                    f"  const double {ident} = yin[{state_index[name]}];"
-                )
-            elif name in param_index:
-                lines.append(
-                    f"  const double {ident} = p[{param_index[name]}];"
-                )
-            else:  # pragma: no cover
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"  const double {names(sym.name)} = "
-                f"{expr_code(definition, 'c', names)};"
+        lines.extend(
+            _emit_loads(
+                jac_cse.exprs, jac_cse.replacements, system, {}, names, "  "
             )
+        )
         for (i, j, _), expr in zip(entries, jac_cse.exprs):
             lines.append(
                 f"  dfdy[{i * nn + j}] = {expr_code(expr, 'c', names)};"
@@ -318,28 +312,18 @@ def generate_c(
 _ARGS = "double t, const double *yin, const double *p, double *yout"
 
 
-def _sparse_jacobian_entries(
+def _row_blocks(
     system: OdeSystem, blocks: Mapping[str, int] | None
-) -> list[tuple[int, int, Expr]]:
-    """Structurally nonzero Jacobian entries ordered per SCC block.
+) -> list[int] | None:
+    """SCC block of each state (None without a partition).
 
     ``blocks`` is the analysis partition's state-name → SCC-block
-    membership; entries are grouped by the row state's block (row-major
-    within a block) so the generated ``JAC`` walks one diagonal block at a
-    time — the iteration order of Peleš & Klus's block-sparse evaluation.
-    States the partition does not know (defensive) sort last.
+    membership; states the partition does not know (defensive) sort last.
     """
-    from .gen_fortran import _jacobian_entries
-
-    entries = _jacobian_entries(system)
-    if blocks:
-        fallback = 1 + max(blocks.values(), default=-1)
-        order = {
-            s: blocks.get(s, fallback) for s in system.state_names
-        }
-        state_names = system.state_names
-        entries.sort(key=lambda e: (order[state_names[e[0]]], e[0], e[1]))
-    return entries
+    if not blocks:
+        return None
+    fallback = 1 + max(blocks.values(), default=-1)
+    return [blocks.get(s, fallback) for s in system.state_names]
 
 
 def generate_c_tasks(
@@ -348,6 +332,7 @@ def generate_c_tasks(
     jacobian: bool = False,
     cse_min_ops: int = 1,
     blocks: Mapping[str, int] | None = None,
+    jac_entries: JacEntries | None = None,
 ) -> NativeSource:
     """Emit the executable C translation unit for ``backend="c"``.
 
@@ -359,8 +344,9 @@ def generate_c_tasks(
       body of ``plan``, writing its slots of the shared results vector
       (states first, partial sums after — the Python backend's layout),
     * with ``jacobian=True``: ``JAC(t, yin, p, vals)`` writing only the
-      structurally nonzero entries (ordered per SCC block via
-      ``blocks``), plus ``JAC_NNZ()`` / ``JAC_PATTERN(rows, cols)``,
+      structurally nonzero ``jac_entries`` (derived here when not given;
+      ordered per SCC block via ``blocks``), plus ``JAC_NNZ()`` /
+      ``JAC_PATTERN(rows, cols)``,
     * ``START(y0)`` / ``PARAMS(pout)`` and the ``NUM_*()`` layout probes
       the loader cross-checks against this object.
 
@@ -438,7 +424,15 @@ def generate_c_tasks(
     jac_rows: tuple[int, ...] = ()
     jac_cols: tuple[int, ...] = ()
     if jacobian:
-        entries = _sparse_jacobian_entries(system, blocks)
+        entries = _jac_entries(system, jac_entries)
+        block_of = _row_blocks(system, blocks)
+        if block_of is not None:
+            # Row-major within the row state's SCC block, so JAC walks one
+            # diagonal block at a time — the iteration order of Peleš &
+            # Klus's block-sparse evaluation.
+            entries = sorted(
+                entries, key=lambda e: (block_of[e[0]], e[0], e[1])
+            )
         jac_rows = tuple(i for i, _, _ in entries)
         jac_cols = tuple(j for _, j, _ in entries)
         nnz = len(entries)
@@ -476,42 +470,13 @@ def generate_c_tasks(
             "double *vals)"
         )
         lines.append("{")
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
-        for name in sorted(used):
-            ident = names(name)
-            if name == system.free_var:
-                lines.append(f"  const double {ident} = t;")
-            elif name in state_index:
-                lines.append(
-                    f"  const double {ident} = yin[{state_index[name]}];"
-                )
-            elif name in param_index:
-                lines.append(
-                    f"  const double {ident} = p[{param_index[name]}];"
-                )
-            else:  # pragma: no cover
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"  const double {names(sym.name)} = "
-                f"{expr_code(definition, 'c', names)};"
+        lines.extend(
+            _emit_loads(
+                jac_cse.exprs, jac_cse.replacements, system, {}, names, "  "
             )
-        if not used and not jac_cse.replacements and not entries:
+        )
+        if not entries:
             lines.append("  (void)t; (void)yin; (void)p; (void)vals;")
-        block_of = None
-        if blocks:
-            fallback = 1 + max(blocks.values(), default=-1)
-            block_of = [
-                blocks.get(s, fallback) for s in system.state_names
-            ]
         last_block: int | None = None
         for k, ((i, j, _), expr) in enumerate(zip(entries, jac_cse.exprs)):
             if block_of is not None and block_of[i] != last_block:

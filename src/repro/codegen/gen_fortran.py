@@ -29,7 +29,7 @@ from ..schedule.lpt import Schedule
 from ..symbolic.cse import cse, cse_grouped
 from ..symbolic.expr import Expr, free_symbols
 from ..symbolic.printer import code as expr_code
-from .gen_python import NameTable
+from .gen_python import NameTable, _jac_entries
 from .tasks import TaskPlan, partition_tasks
 from .transform import OdeSystem
 
@@ -55,12 +55,8 @@ class FortranSource:
         )
 
 
-def _fortran_name(table: NameTable, name: str) -> str:
-    return table(name)
-
-
-def _emit_case_body(
-    exprs_with_targets: Sequence[tuple[str, Expr]],
+def _emit_loads(
+    exprs: Sequence[Expr],
     replacements: Sequence[tuple],
     system: OdeSystem,
     partial_index: Mapping[str, int],
@@ -68,14 +64,14 @@ def _emit_case_body(
     decls: list[str],
     indent: str,
 ) -> list[str]:
-    """Emit loads, CSE temporaries and stores for one case body."""
+    """Emit loads of every symbol the body reads, then its CSE temporaries."""
     n = len(system.state_names)
     state_index = {s: i for i, s in enumerate(system.state_names)}
     param_index = {s: i for i, s in enumerate(system.param_names)}
     local = {sym.name for sym, _ in replacements}
 
     used: set[str] = set()
-    for _, e in exprs_with_targets:
+    for e in exprs:
         used.update(s.name for s in free_symbols(e))
     for _, d in replacements:
         used.update(s.name for s in free_symbols(d))
@@ -102,7 +98,25 @@ def _emit_case_body(
         lines.append(
             f"{indent}{ident} = {expr_code(definition, 'fortran', names)}"
         )
+    return lines
 
+
+def _emit_case_body(
+    exprs_with_targets: Sequence[tuple[str, Expr]],
+    replacements: Sequence[tuple],
+    system: OdeSystem,
+    partial_index: Mapping[str, int],
+    names: NameTable,
+    decls: list[str],
+    indent: str,
+) -> list[str]:
+    """Emit loads, CSE temporaries and stores for one case body."""
+    n = len(system.state_names)
+    state_index = {s: i for i, s in enumerate(system.state_names)}
+    lines = _emit_loads(
+        [e for _, e in exprs_with_targets], replacements, system,
+        partial_index, names, decls, indent,
+    )
     for target, expr in exprs_with_targets:
         text = expr_code(expr, "fortran", names)
         if not target.startswith("der:"):
@@ -115,24 +129,6 @@ def _emit_case_body(
             lines.append(f"{indent}{dot} = {text}")
             lines.append(f"{indent}yout({state_index[state] + 1}) = {dot}")
     return lines
-
-
-def _jacobian_entries(system: OdeSystem):
-    """Nonzero analytic Jacobian entries (i, j, expr)."""
-    from ..symbolic.diff import diff
-    from ..symbolic.expr import Sym
-    from ..symbolic.simplify import simplify
-
-    entries = []
-    for i, rhs in enumerate(system.rhs):
-        rhs_syms = {s.name for s in free_symbols(rhs)}
-        for j, state in enumerate(system.state_names):
-            if state not in rhs_syms:
-                continue
-            d = simplify(diff(rhs, Sym(state)))
-            if not d.is_zero:
-                entries.append((i, j, d))
-    return entries
 
 
 def generate_fortran(
@@ -259,40 +255,16 @@ def generate_fortran(
 
     if jacobian:
         jac_names = NameTable(reserved=["t", "yin", "p", "dfdy", "dp"])
-        entries = _jacobian_entries(system)
+        entries = _jac_entries(system)
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="jcse",
             min_ops=cse_min_ops,
         )
-        # Loads and CSE temporaries for the Jacobian body.
-        local = {sym.name for sym, _ in jac_cse.replacements}
-        used: set[str] = set()
-        for _sym, definition in jac_cse.replacements:
-            used.update(s.name for s in free_symbols(definition))
-        for expr in jac_cse.exprs:
-            used.update(s.name for s in free_symbols(expr))
-        used -= local
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        param_index = {s: i for i, s in enumerate(system.param_names)}
         jac_decls: list[str] = []
-        jac_body: list[str] = []
-        for name in sorted(used):
-            ident = jac_names(name)
-            jac_decls.append(ident)
-            if name == system.free_var:
-                jac_body.append(f"  {ident} = t")
-            elif name in state_index:
-                jac_body.append(f"  {ident} = yin({state_index[name] + 1})")
-            elif name in param_index:
-                jac_body.append(f"  {ident} = p({param_index[name] + 1})")
-            else:  # pragma: no cover - verifier prevents this
-                raise ValueError(f"cannot bind {name!r} in JAC codegen")
-        for sym, definition in jac_cse.replacements:
-            ident = jac_names(sym.name)
-            jac_decls.append(ident)
-            jac_body.append(
-                f"  {ident} = {expr_code(definition, 'fortran', jac_names)}"
-            )
+        jac_body = _emit_loads(
+            jac_cse.exprs, jac_cse.replacements, system, {}, jac_names,
+            jac_decls, "  ",
+        )
         lines.append("")
         lines.append("subroutine JAC(t, yin, p, dfdy)")
         lines.append("  integer, parameter :: dp = kind(1.0d0)")

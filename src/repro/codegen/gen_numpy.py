@@ -38,11 +38,9 @@ import numpy as np
 
 from ..symbolic.builders import FUNCTIONS
 from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.diff import diff
 from ..symbolic.expr import Expr, Sym, free_symbols
 from ..symbolic.printer import code as expr_code
-from ..symbolic.simplify import simplify
-from .gen_python import NameTable, _hoist_reduces
+from .gen_python import JacEntries, NameTable, _hoist_reduces, _jac_entries
 from .tasks import Assignment, TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, FamilyLayout, OdeSystem
 
@@ -154,12 +152,14 @@ def generate_numpy(
     plan: TaskPlan | None = None,
     jacobian: bool = False,
     cse_min_ops: int = 1,
+    jac_entries: JacEntries | None = None,
 ) -> NumpyModule:
     """Generate and compile the vectorized NumPy RHS module for ``system``.
 
     Mirrors :func:`~repro.codegen.gen_python.generate_python` — same CSE
-    structure, same task plan, same slot layout — so the two backends are
-    drop-in interchangeable and numerically equivalent lane by lane.
+    structure, same task plan, same slot layout, same ``jac_entries`` —
+    so the two backends are drop-in interchangeable and numerically
+    equivalent lane by lane.
 
     An :class:`~repro.codegen.transform.ArraySystem` takes the array path:
     each family's member axis becomes a strided column slice and the
@@ -244,15 +244,7 @@ def generate_numpy(
     # -- batched analytic Jacobian ---------------------------------------------
     if jacobian:
         jac_names = NameTable(reserved=_RESERVED)
-        entries: list[tuple[int, int, Expr]] = []
-        for i, rhs in enumerate(system.rhs):
-            rhs_syms = {s.name for s in free_symbols(rhs)}
-            for j, state in enumerate(system.state_names):
-                if state not in rhs_syms:
-                    continue
-                d = simplify(diff(rhs, Sym(state)))
-                if not d.is_zero:
-                    entries.append((i, j, d))
+        entries = _jac_entries(system, jac_entries)
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="j_cse",
             min_ops=cse_min_ops,

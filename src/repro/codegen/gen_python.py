@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..symbolic.cse import cse, cse_grouped
-from ..symbolic.diff import diff
+from ..symbolic.diff import jacobian_entries
 from ..symbolic.expr import Expr, Reduce, Sym, free_symbols, preorder
 from ..symbolic.printer import code as expr_code
-from ..symbolic.simplify import simplify
 from ..symbolic.subs import substitute
 from .tasks import Assignment, TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, FamilyLayout, OdeSystem
@@ -167,17 +166,34 @@ def _binding_lines(
     return _bind_names(sorted(used), system, names, partial_index, indent)
 
 
+#: analytic Jacobian entries ``(row, column, expr)`` in ``(i, j)`` order
+JacEntries = Sequence[tuple[int, int, Expr]]
+
+
+def _jac_entries(
+    system: OdeSystem, entries: JacEntries | None = None
+) -> JacEntries:
+    """``entries`` when the caller derived the Jacobian already (the
+    ``codegen`` pass derives it once for every backend), else one
+    :func:`~repro.symbolic.diff.jacobian_entries` sweep."""
+    if entries is None:
+        return jacobian_entries(system.rhs, system.state_names)
+    return entries
+
+
 def generate_python(
     system: OdeSystem,
     plan: TaskPlan | None = None,
     jacobian: bool = False,
     cse_min_ops: int = 1,
+    jac_entries: JacEntries | None = None,
 ) -> PythonModule:
     """Generate and compile the Python RHS module for ``system``.
 
     ``plan`` defaults to :func:`~repro.codegen.tasks.partition_tasks` with
     default thresholds.  ``jacobian=True`` additionally emits the analytic
-    Jacobian (quadratic in the state count — opt in for large systems).
+    Jacobian (one statement per structurally non-zero entry — opt in for
+    large systems) from ``jac_entries``, derived here when not given.
 
     An :class:`~repro.codegen.transform.ArraySystem` takes the array path:
     one member loop per family instead of one statement per member, so the
@@ -256,15 +272,7 @@ def generate_python(
     # -- analytic Jacobian ------------------------------------------------------
     if jacobian:
         jac_names = NameTable()
-        entries: list[tuple[int, int, Expr]] = []
-        for i, rhs in enumerate(system.rhs):
-            rhs_syms = {s.name for s in free_symbols(rhs)}
-            for j, state in enumerate(system.state_names):
-                if state not in rhs_syms:
-                    continue
-                d = simplify(diff(rhs, Sym(state)))
-                if not d.is_zero:
-                    entries.append((i, j, d))
+        entries = _jac_entries(system, jac_entries)
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="j_cse", min_ops=cse_min_ops
         )

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..schedule.task import TaskGraph
+from ..symbolic.diff import jacobian_entries
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .gen_c import NativeSource
 from .gen_numpy import NumpyModule, generate_numpy
@@ -499,13 +500,18 @@ def generate_program(
             plan, cost_model=cost_model, threshold=fuse_threshold,
             blocks=blocks,
         )
+    jac_entries = (
+        jacobian_entries(system.rhs, system.state_names) if jacobian else None
+    )
     module = generate_python(
-        system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops
+        system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
+        jac_entries=jac_entries,
     )
     vector_module = None
     if backend == "numpy":
         vector_module = generate_numpy(
-            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops
+            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
+            jac_entries=jac_entries,
         )
     native_module = None
     native_fallback = None
@@ -515,7 +521,7 @@ def generate_program(
 
         native_source = generate_c_tasks(
             system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
-            blocks=blocks,
+            blocks=blocks, jac_entries=jac_entries,
         )
         try:
             native_module, _ = build_native_module(native_source)

@@ -30,10 +30,12 @@ cache-store    program                    —
 unit, and the native pass re-``dlopen``-s the machine-local build
 product — or rebuilds it once if this machine has never seen the model);
 ``parse``/``flatten`` are skipped when the caller already supplies a
-model / flat model.  ``scalarize`` only acts on array flat models whose
-array path cannot serve the requested options (flatten fallback, analytic
-Jacobian, shared CSE) — it lowers back to the scalar enumeration and the
-rest of the pipeline proceeds classically.  The driver functions at the
+model / flat model.  With ``jacobian=True`` the ``codegen`` pass derives
+the analytic Jacobian once (:func:`~repro.symbolic.diff.jacobian_entries`)
+and hands the same entries to every printer.  ``scalarize`` only acts on
+array flat models whose array path cannot serve the requested options
+(flatten fallback, analytic Jacobian, shared CSE) — it lowers back to the
+scalar enumeration and the rest of the pipeline proceeds classically.  The driver functions at the
 bottom (:func:`compile_context`, :func:`build_default_manager`) are what
 the :mod:`repro.frontend` facade and the ``repro compile`` CLI verb call.
 """
@@ -49,6 +51,7 @@ from ..codegen.transform import ArraySystem, make_array_system, make_ode_system
 from ..codegen.verify import verify_compilable
 from ..model import check_types
 from ..model.flatten import ArrayFlatModel, FlatModel
+from ..symbolic.diff import jacobian_entries
 from .cache import CompiledArtifacts, artifact_key, model_fingerprint
 from .context import CompilationContext, CompileOptions
 from .manager import Pass, PassManager
@@ -270,11 +273,18 @@ def _scc_blocks(ctx: CompilationContext) -> dict[str, int] | None:
 
 def _run_codegen(ctx: CompilationContext) -> None:
     opts = ctx.options
+    # The analytic Jacobian is derived once here and printed by every
+    # backend; a cache hit skips this pass, derivation included.
+    jac_entries = None
+    if opts.jacobian:
+        jac_entries = jacobian_entries(ctx.system.rhs, ctx.system.state_names)
+        ctx.metrics["jac_nonzeros"] = len(jac_entries)
     ctx.module = generate_python(
         ctx.system,
         plan=ctx.plan,
         jacobian=opts.jacobian,
         cse_min_ops=opts.cse_min_ops,
+        jac_entries=jac_entries,
     )
     if opts.backend == "numpy":
         ctx.vector_module = generate_numpy(
@@ -282,6 +292,7 @@ def _run_codegen(ctx: CompilationContext) -> None:
             plan=ctx.plan,
             jacobian=opts.jacobian,
             cse_min_ops=opts.cse_min_ops,
+            jac_entries=jac_entries,
         )
     if opts.backend == "c":
         from ..codegen.gen_c import generate_c_tasks
@@ -292,6 +303,7 @@ def _run_codegen(ctx: CompilationContext) -> None:
             jacobian=opts.jacobian,
             cse_min_ops=opts.cse_min_ops,
             blocks=_scc_blocks(ctx),
+            jac_entries=jac_entries,
         )
 
 
@@ -434,7 +446,8 @@ def build_default_manager() -> PassManager:
              skip_when=_skip_fuse),
         Pass("codegen", _run_codegen, requires=("system", "plan"),
              provides=("module", "vector_module", "native_source"),
-             description="CSE + code emission (python / numpy / C sources)",
+             description="analytic Jacobian (once) + CSE + code emission "
+                         "(python / numpy / C sources)",
              skip_when=_skip_when_cached),
         Pass("link_native", _run_link_native,
              requires=("system", "plan"),

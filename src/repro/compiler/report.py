@@ -112,7 +112,8 @@ class PipelineReport:
             )
         lines.append(f"  total: {self.total_wall_s * 1e3:.2f} ms")
         for key in ("num_cse_serial", "num_cse_parallel", "num_tasks",
-                    "num_array_tasks", "num_subsystems", "generated_lines"):
+                    "num_array_tasks", "num_subsystems", "generated_lines",
+                    "jac_nonzeros"):
             if key in self.metrics:
                 lines.append(f"  {key.replace('_', ' ')}: {self.metrics[key]}")
         if self.metrics.get("flatten_mode") == "array":

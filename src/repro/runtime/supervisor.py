@@ -598,11 +598,12 @@ class _PoolExecutor:
 
         def fail_over(task_ids: list[int], from_worker: int,
                       cause: BaseException | None) -> None:
-            """Move tasks off ``from_worker`` (reassign or run inline)."""
+            """Move tasks off ``from_worker`` to another idle worker, or run
+            them inline when there is none."""
             if not task_ids:
                 return
             targets = [w for w in self._healthy_workers()
-                       if w not in outstanding]
+                       if w not in outstanding and w != from_worker]
             fresh = [tid for tid in task_ids if tid not in reassigned]
             burnt = [tid for tid in task_ids if tid in reassigned]
             if fresh and targets:

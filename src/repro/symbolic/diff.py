@@ -5,9 +5,16 @@ Used to generate analytic Jacobian functions for the implicit BDF solver
 provide the solver with an extra function that computes the Jacobian …  If
 the user can provide this function the computation time might be reduced
 drastically").  Here the *code generator* plays the role of that user.
+
+:func:`diff` takes one derivative; :func:`jacobian_entries` derives a whole
+Jacobian in one sparse forward sweep over the shared expression DAG (Peleš
+& Klus): every node is differentiated once, with respect to exactly the
+states it depends on.  Both apply the same per-node rules.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .builders import FUNCTIONS
 from .expr import (
@@ -28,8 +35,9 @@ from .expr import (
     pow_,
     sub,
 )
+from .simplify import simplify
 
-__all__ = ["diff", "DiffError"]
+__all__ = ["diff", "jacobian_entries", "DiffError"]
 
 
 class DiffError(ValueError):
@@ -56,6 +64,70 @@ def diff(expr: Expr, wrt: Sym) -> Expr:
         return result
 
     return walk(expr)
+
+
+def _diff_args(node: Expr) -> tuple[Expr, ...]:
+    """The children whose derivatives :func:`_diff_node` reads."""
+    if isinstance(node, (Rel, BoolOp)):
+        return ()
+    if isinstance(node, ITE):
+        return (node.then, node.orelse)
+    return node.args
+
+
+def jacobian_entries(
+    rhs: Sequence[Expr], state_names: Sequence[str]
+) -> list[tuple[int, int, Expr]]:
+    """The structurally non-zero entries ``(i, j, d rhs[i] / d state_j)``.
+
+    One iterative post-order sweep over the DAG of all right-hand sides
+    gives every node a sparse gradient ``{state: derivative}`` built from
+    its children's by the rules of :func:`diff`; states a node does not
+    depend on, and partials that fold to zero, never get an entry.  A
+    subexpression shared by several right-hand sides (hash-consing makes
+    it one node) is differentiated once per state, not once per entry.
+    Entries come out in ``(i, j)`` order, each simplified through one
+    cache for the whole Jacobian, and equal to
+    ``simplify(diff(rhs[i], Sym(state_names[j])))``.
+    """
+    column = {name: j for j, name in enumerate(state_names)}
+    wrt = {name: Sym(name) for name in state_names}
+    grad: dict[Expr, dict[str, Expr]] = {}
+    for root in rhs:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in grad:
+                stack.pop()
+                continue
+            kids = _diff_args(node)
+            pending = [c for c in kids if c not in grad]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if isinstance(node, Sym):
+                keys = (node.name,) if node.name in column else ()
+            else:
+                keys = dict.fromkeys(s for c in kids for s in grad[c])
+            partials: dict[str, Expr] = {}
+            for s in keys:
+                d = _diff_node(
+                    node, wrt[s], lambda c, s=s: grad[c].get(s, ZERO)
+                )
+                if not d.is_zero:
+                    partials[s] = d
+            grad[node] = partials
+
+    cache: dict[Expr, Expr] = {}
+    entries = []
+    for i, root in enumerate(rhs):
+        partials = grad[root]
+        for s in sorted(partials, key=column.__getitem__):
+            d = simplify(partials[s], cache)
+            if not d.is_zero:
+                entries.append((i, column[s], d))
+    return entries
 
 
 def _diff_node(node: Expr, wrt: Sym, walk) -> Expr:

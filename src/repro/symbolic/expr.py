@@ -110,6 +110,7 @@ def _fresh(cls) -> "Expr":
     obj._skey = None
     obj._free = None
     obj._size = None
+    obj._ops = None
     return obj
 
 
@@ -123,11 +124,11 @@ class Expr:
 
     Construction happens in each subclass's ``__new__`` (which consults the
     intern table); ``__init__`` is a deliberate no-op so that a cache hit
-    does not wipe the cached ``_hash``/``_skey``/``_free``/``_size`` of the
-    returned canonical instance.
+    does not wipe the cached ``_hash``/``_skey``/``_free``/``_size``/``_ops``
+    of the returned canonical instance.
     """
 
-    __slots__ = ("_hash", "_skey", "_free", "_size")
+    __slots__ = ("_hash", "_skey", "_free", "_size", "_ops")
 
     #: class-level rank used for cross-type deterministic ordering
     _rank = 0
@@ -739,24 +740,22 @@ def add(*terms: ExprLike) -> Expr:
     collected: dict[Expr, Number] = {}
     order: list[Expr] = []
 
-    def absorb(item: Expr) -> None:
-        nonlocal const_part
+    # Depth-first, left to right, as a loop: a recursive closure here
+    # would leave a reference cycle (cyclic garbage) behind every call.
+    stack = [as_expr(raw) for raw in reversed(terms)]
+    while stack:
+        item = stack.pop()
         if isinstance(item, Const):
             const_part = const_part + item.value
-            return
-        if isinstance(item, Add):
-            for child in item.args:
-                absorb(child)
-            return
-        coeff, term = _coeff_term(item)
-        if term in collected:
-            collected[term] = collected[term] + coeff
+        elif isinstance(item, Add):
+            stack.extend(reversed(item.args))
         else:
-            collected[term] = coeff
-            order.append(term)
-
-    for raw in terms:
-        absorb(as_expr(raw))
+            coeff, term = _coeff_term(item)
+            if term in collected:
+                collected[term] = collected[term] + coeff
+            else:
+                collected[term] = coeff
+                order.append(term)
 
     parts: list[Expr] = []
     for term in sorted(order, key=lambda e: e._key()):
@@ -787,15 +786,16 @@ def mul(*factors: ExprLike) -> Expr:
     powers: dict[Expr, Expr] = {}
     order: list[Expr] = []
 
-    def absorb(item: Expr) -> None:
-        nonlocal const_part
+    # Depth-first, left to right, as a loop (see add).
+    stack = [as_expr(raw) for raw in reversed(factors)]
+    while stack:
+        item = stack.pop()
         if isinstance(item, Const):
             const_part = const_part * item.value
-            return
+            continue
         if isinstance(item, Mul):
-            for child in item.args:
-                absorb(child)
-            return
+            stack.extend(reversed(item.args))
+            continue
         if isinstance(item, Pow):
             base, exponent = item.base, item.exponent
         else:
@@ -805,9 +805,6 @@ def mul(*factors: ExprLike) -> Expr:
         else:
             powers[base] = exponent
             order.append(base)
-
-    for raw in factors:
-        absorb(as_expr(raw))
 
     if const_part == 0:
         return ZERO

@@ -127,9 +127,39 @@ def op_histogram(expr: Expr) -> OpHistogram:
     return walk(expr)
 
 
+def _own_ops(node: Expr) -> int:
+    """Operations ``node`` itself adds on top of its children's."""
+    if isinstance(node, (Add, Mul)):
+        return len(node.args) - 1
+    if isinstance(node, (Pow, Call, Rel, ITE)):
+        return 1
+    if isinstance(node, BoolOp):
+        return max(len(node.args) - 1, 1)
+    return 0
+
+
 def op_count(expr: Expr) -> int:
-    """Total scalar operation count of ``expr``."""
-    return op_histogram(expr).total
+    """Total scalar operation count of ``expr``: ``op_histogram(expr).total``.
+
+    Memoised per interned node like :func:`~repro.symbolic.expr.count_nodes`
+    (own operations plus the children's counts; a :class:`Reduce` counts its
+    body once per member plus the accumulating additions), so CSE's
+    extractability test and the task cost model pay one visit per distinct
+    node, once per process.
+    """
+    stack = [expr] if expr._ops is None else []
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.args if c._ops is None]
+        if pending:
+            stack.extend(pending)
+        elif isinstance(node, Reduce):
+            node._ops = node.body._ops * node.count + node.count - 1
+            stack.pop()
+        else:
+            node._ops = _own_ops(node) + sum(c._ops for c in node.args)
+            stack.pop()
+    return expr._ops
 
 
 def depth(expr: Expr) -> int:

@@ -41,23 +41,31 @@ _REL_FUNCS = {
 }
 
 
-def simplify(expr: Expr) -> Expr:
-    """Rebuild ``expr`` bottom-up, applying structural simplifications."""
-    cache: dict[Expr, Expr] = {}
+def simplify(expr: Expr, cache: dict[Expr, Expr] | None = None) -> Expr:
+    """Rebuild ``expr`` bottom-up, applying structural simplifications.
 
-    def walk(node: Expr) -> Expr:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        if not node.args:
-            cache[node] = node
-            return node
-        new_args = tuple(walk(a) for a in node.args)
-        result = _post(node, new_args)
-        cache[node] = result
-        return result
-
-    return walk(expr)
+    The walk is iterative, so expression depth is not bounded by the
+    recursion limit.  ``cache`` maps nodes to their simplified form; pass
+    one dict to several calls to simplify shared subtrees only once.
+    """
+    if cache is None:
+        cache = {}
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if a not in cache]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        cache[node] = (
+            _post(node, tuple(cache[a] for a in node.args))
+            if node.args else node
+        )
+    return cache[expr]
 
 
 def _post(node: Expr, args: tuple[Expr, ...]) -> Expr:

@@ -1,6 +1,6 @@
 """The node-table encoding of expression DAGs (``symbolic/serialize.py``)
-and the two things built on it: the model fingerprint and the per-node
-tree-size memo."""
+and the things built on it: the model fingerprint and the per-node
+tree-size and operation-count memos."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from repro.symbolic import (
     count_nodes,
     intern_cache_clear,
     mul,
+    op_count,
+    op_histogram,
     postorder,
     preorder,
 )
@@ -164,3 +166,18 @@ class TestNodeSizeMemo:
     @given(structural_expressions())
     def test_count_nodes_is_the_tree_size(self, expr):
         assert count_nodes(expr) == sum(1 for _ in preorder(expr))
+
+    @settings(max_examples=150, deadline=None)
+    @given(structural_expressions())
+    def test_op_count_is_the_tree_walk_total(self, expr):
+        total = op_histogram(expr).total
+        assert op_count(expr) == total
+        # the memo lives on the node: a cleared intern table neither loses
+        # it nor leaks it into the equal nodes built afterwards
+        intern_cache_clear()
+        assert op_count(expr) == total
+        rebuilt = expr_from_obj(expr_to_obj(expr))
+        assert rebuilt == expr and op_count(rebuilt) == total
+        assert op_count(add(rebuilt, expr)) == op_histogram(
+            add(rebuilt, expr)
+        ).total

@@ -42,6 +42,7 @@ from .test_runtime_faults import (
     check_closed_executor_rejects_work,
     check_hung_worker_hits_round_timeout,
     check_kill_reassigns_dead_workers_tasks,
+    check_persistent_fault_moves_off_the_worker,
     check_retry_recovers,
     check_schedule_mismatch,
 )
@@ -189,6 +190,13 @@ class TestProcessFaults:
     def test_nonfinite_output_caught_and_recovered(self, program, reference,
                                                    mode):
         check_retry_recovers(ProcessExecutor, program, reference, mode)
+
+    @pytest.mark.parametrize("mode", ["raise", "nan", "inf"])
+    def test_persistent_fault_moves_off_the_worker(self, program, reference,
+                                                   mode):
+        check_persistent_fault_moves_off_the_worker(
+            ProcessExecutor, program, reference, mode
+        )
 
     def test_hung_worker_hits_round_timeout(self, program, reference):
         check_hung_worker_hits_round_timeout(ProcessExecutor, program,

@@ -36,7 +36,12 @@ from repro.runtime import (
     TaskFailure,
     ThreadedExecutor,
 )
-from repro.runtime.supervisor import _Buffers, _PoolExecutor, serve
+from repro.runtime.supervisor import (
+    _Buffers,
+    _PoolExecutor,
+    dependency_levels,
+    serve,
+)
 from repro.schedule import lpt_schedule
 from repro.solver import solve_ivp
 from repro.solver.rk import DOPRI_A, DOPRI_C
@@ -96,6 +101,28 @@ def check_retry_recovers(pool, program, reference, mode):
     assert events.count("task_reassigned") == 0
     assert events.count("task_nonfinite") == (0 if mode == "raise" else 1)
     assert not executor.degraded
+
+
+def check_persistent_fault_moves_off_the_worker(pool, program, reference,
+                                                mode):
+    """Retries on worker 0 keep failing, so the task leaves it: to worker
+    1 if that one is idle by then, inline if it is still busy — never
+    "reassigned" back to worker 0."""
+    tid = _task_on_worker(program, 2, worker=0)
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode=mode, worker=0, count=-1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events) as executor:
+        res = _evaluate(executor, program)
+    assert np.array_equal(res, reference)
+    (moved,) = (events.of_kind("task_reassigned")
+                + events.of_kind("task_inline"))
+    assert tid in moved.data["tasks"]
+    assert moved.data["from_worker"] == 0
+    if moved.kind == "task_reassigned":
+        assert moved.data["to_worker"] != moved.data["from_worker"]
 
 
 def check_hung_worker_hits_round_timeout(pool, program, reference):
@@ -405,6 +432,48 @@ class TestCoreOverFakeTransport:
             assert tid in inline["tasks"] and inline["from_worker"] == 0
             assert not pool.degraded
 
+    def test_no_reassignment_to_the_failing_worker(self, program, reference):
+        # A task of worker 0's in a level that keeps worker 1 busy too.
+        assignment = lpt_schedule(program.task_graph, 2).assignment
+        level = next(
+            lv for lv in dependency_levels(program.task_graph)
+            if {assignment[t] for t in lv} == {0, 1}
+        )
+        tid = next(t for t in level if assignment[t] == 0)
+        attempts = RetryPolicy().max_attempts
+        fail = failing(tid, {0})
+        held, failures = [], []
+
+        def script(transport, worker, job, reply):
+            if worker == 1 and set(job.tasks) & set(level):
+                held.append(reply)
+                return []
+            (reply,) = fail(transport, worker, job, reply)
+            if reply.error is not None:
+                failures.append(reply)
+            return [reply]
+
+        with FakePool(program, 2, script) as pool:
+            transport = pool._transport
+            send = transport.send
+
+            def send_then_release(worker, job):
+                # Worker 1 answers right after worker 0's last failure on
+                # tid, so it is still busy when that failure is handled.
+                sent = send(worker, job)
+                if len(failures) == attempts and held:
+                    transport._arrived += [(1, r) for r in held]
+                    held.clear()
+                return sent
+
+            transport.send = send_then_release
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert pool.events.count("task_reassigned") == 0
+            inline = pool.events.of_kind("task_inline")[0].data
+            assert tid in inline["tasks"] and inline["from_worker"] == 0
+            assert [w for w, job in pool._transport.sent
+                    if tid in job.tasks] == [0] * attempts
+
     def test_deaths_reassign_then_degrade(self, program, reference):
         with FakePool(program, 2, dying({0})) as pool:
             assert np.array_equal(_evaluate(pool, program), reference)
@@ -607,24 +676,13 @@ class TestRetrySucceeds:
 
 class TestReassignmentSucceeds:
     """Worker-pinned unlimited faults: retries on the original worker keep
-    failing, so the task moves to a healthy worker and succeeds there."""
+    failing, so the task moves off it and succeeds elsewhere."""
 
     @pytest.mark.parametrize("mode", RECOVERABLE_MODES)
     def test_bit_identical_after_reassignment(self, program, reference, mode):
-        tid = _task_on_worker(program, 2, worker=0)
-        events = RuntimeEvents()
-        injector = FaultInjector(
-            [FaultSpec(task_id=tid, mode=mode, worker=0, count=-1)],
-            events=events,
+        check_persistent_fault_moves_off_the_worker(
+            ThreadedExecutor, program, reference, mode
         )
-        with ThreadedExecutor(program, 2, injector=injector,
-                              events=events) as executor:
-            res = _evaluate(executor, program)
-        assert np.array_equal(res, reference)
-        assert events.count("task_reassigned") == 1
-        reassign = events.of_kind("task_reassigned")[0]
-        assert tid in reassign.data["tasks"]
-        assert reassign.data["from_worker"] == 0
 
     def test_kill_reassigns_dead_workers_tasks(self, program, reference):
         check_kill_reassigns_dead_workers_tasks(ThreadedExecutor, program,
