@@ -1,4 +1,4 @@
-"""Python back end: generate an executable RHS module.
+"""Python back end, and the module emitter it shares with the NumPy one.
 
 Where the paper emits Fortran 90 / C++ and compiles with the platform
 compilers, this reproduction's *executable* target is Python source
@@ -14,6 +14,17 @@ result.  The module contains:
 * ``JAC(t, y, p, jac)`` — optional analytic Jacobian (section 3.2.1),
 * ``START()`` / ``PARAMS()`` — generated start-value and parameter vectors
   (the paper generates these so users keep the model's variable names).
+
+One emitter prints this layout for both executable targets, this one and
+the batched :mod:`repro.codegen.gen_numpy`; a :class:`Dialect` fixes what
+they print differently: the indexing (``y[i]`` or ``Y[..., i]``), the
+entry names, the ``errstate`` wrapper of the batched target, and the two
+lowerings that really differ.  An instance family's section becomes a
+member loop here and a strided slice there; a family sum (``Reduce``)
+becomes an accumulation loop here and ``.sum(axis=-1)`` there.  A scalar
+:class:`~repro.codegen.transform.OdeSystem` is the case with no families:
+every state is a singleton, and the partial-sum slots of split sums are
+read and written like any other slot.
 """
 
 from __future__ import annotations
@@ -21,17 +32,24 @@ from __future__ import annotations
 import keyword
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from ..symbolic.cse import cse, cse_grouped
+from ..symbolic.cse import cse
 from ..symbolic.diff import jacobian_entries
-from ..symbolic.expr import Expr, Reduce, Sym, free_symbols, preorder
+from ..symbolic.expr import Expr, Reduce, Sym, free_symbols
 from ..symbolic.printer import code as expr_code
 from ..symbolic.subs import substitute
-from .tasks import Assignment, TaskPlan, partition_tasks, partition_tasks_array
+from .tasks import TaskPlan, partition_tasks, partition_tasks_array
 from .transform import ArraySystem, FamilyLayout, OdeSystem
 
-__all__ = ["NameTable", "PythonModule", "generate_python", "load_python_module"]
+__all__ = [
+    "Dialect",
+    "NameTable",
+    "PythonModule",
+    "emit_module",
+    "generate_python",
+    "load_python_module",
+]
 
 
 class NameTable:
@@ -121,51 +139,6 @@ def _base_namespace() -> dict:
     return ns
 
 
-def _bind_names(
-    used: Sequence[str],
-    system: OdeSystem | ArraySystem,
-    names: NameTable,
-    partial_index: Mapping[str, int],
-    indent: str,
-) -> list[str]:
-    """Emit local bindings for the given (sorted) symbol names."""
-    lines = []
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-    param_index = {s: i for i, s in enumerate(system.param_names)}
-    n = len(system.state_names)
-    for name in used:
-        ident = names(name)
-        if name == system.free_var:
-            if ident != "t":
-                lines.append(f"{indent}{ident} = t")
-        elif name in state_index:
-            lines.append(f"{indent}{ident} = y[{state_index[name]}]")
-        elif name in param_index:
-            lines.append(f"{indent}{ident} = p[{param_index[name]}]")
-        elif name in partial_index:
-            lines.append(f"{indent}{ident} = res[{n + partial_index[name]}]")
-        else:
-            raise ValueError(f"cannot bind symbol {name!r} in generated code")
-    return lines
-
-
-def _binding_lines(
-    exprs: Sequence[Expr],
-    system: OdeSystem | ArraySystem,
-    names: NameTable,
-    partial_index: Mapping[str, int],
-    indent: str,
-    local: frozenset[str] = frozenset(),
-) -> list[str]:
-    """Emit local bindings for every symbol the expressions reference,
-    skipping ``local`` names (CSE temporaries defined in the body)."""
-    used: set[str] = set()
-    for e in exprs:
-        used.update(s.name for s in free_symbols(e))
-    used -= local
-    return _bind_names(sorted(used), system, names, partial_index, indent)
-
-
 #: analytic Jacobian entries ``(row, column, expr)`` in ``(i, j)`` order
 JacEntries = Sequence[tuple[int, int, Expr]]
 
@@ -181,175 +154,51 @@ def _jac_entries(
     return entries
 
 
-def generate_python(
-    system: OdeSystem,
-    plan: TaskPlan | None = None,
-    jacobian: bool = False,
-    cse_min_ops: int = 1,
-    jac_entries: JacEntries | None = None,
-) -> PythonModule:
-    """Generate and compile the Python RHS module for ``system``.
+def _free_names(exprs: Iterable[Expr]) -> set[str]:
+    used: set[str] = set()
+    for e in exprs:
+        used.update(s.name for s in free_symbols(e))
+    return used
 
-    ``plan`` defaults to :func:`~repro.codegen.tasks.partition_tasks` with
-    default thresholds.  ``jacobian=True`` additionally emits the analytic
-    Jacobian (one statement per structurally non-zero entry — opt in for
-    large systems) from ``jac_entries``, derived here when not given.
 
-    An :class:`~repro.codegen.transform.ArraySystem` takes the array path:
-    one member loop per family instead of one statement per member, so the
-    generated text is sized by class structure (see
-    :func:`_generate_python_array`).
+# ---------------------------------------------------------------------------
+# Family statements shared by both dialects' lowerings
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Slice:
+    """Template statements over one family, CSE'd as one scope.
+
+    ``used`` is every name the statements read besides their own
+    temporaries.  A representative name in it is a member slot —
+    ``state_j`` / ``param_j`` give its offset within a member — and any
+    other name lives outside the family.
     """
-    if isinstance(system, ArraySystem):
-        return _generate_python_array(system, plan, jacobian, cse_min_ops)
-    if plan is None:
-        plan = partition_tasks(system)
 
-    names = NameTable()
-    n = system.num_states
-    partial_index = {slot: i for i, slot in enumerate(plan.partial_slots)}
+    fam: FamilyLayout
+    temps: tuple[tuple[Sym, Expr], ...]
+    exprs: tuple[Expr, ...]
+    used: frozenset[str]
+    state_j: Mapping[str, int]
+    param_j: Mapping[str, int]
 
-    lines: list[str] = [
-        '"""Generated by repro.codegen.gen_python — do not edit."""',
-        "",
-    ]
-
-    # -- serial RHS with global CSE -------------------------------------------
-    serial = cse(list(system.rhs), symbol_prefix="g_cse", min_ops=cse_min_ops)
-    lines.append("def RHS(t, y, p, out):")
-    body_exprs = [d for _, d in serial.replacements] + list(serial.exprs)
-    serial_locals = frozenset(s.name for s, _ in serial.replacements)
-    lines.extend(
-        _binding_lines(body_exprs, system, names, {}, "    ", serial_locals)
-    )
-    for sym, definition in serial.replacements:
-        lines.append(
-            f"    {names(sym.name)} = "
-            f"{expr_code(definition, 'python', names)}"
-        )
-    for i, expr in enumerate(serial.exprs):
-        lines.append(f"    out[{i}] = {expr_code(expr, 'python', names)}")
-    lines.append("    return out")
-    lines.append("")
-
-    # -- per-task functions with per-task CSE ----------------------------------
-    groups = [[a.expr for a in body.assignments] for body in plan.bodies]
-    task_cses = cse_grouped(groups, symbol_prefix="l_cse", min_ops=cse_min_ops)
-    num_cse_parallel = sum(r.num_extracted for r in task_cses)
-
-    task_names: list[str] = []
-    for body, result in zip(plan.bodies, task_cses):
-        fn = f"task_{body.task_id}"
-        task_names.append(fn)
-        task_names_table = NameTable()
-        lines.append(f"def {fn}(t, y, p, res):")
-        body_exprs = [d for _, d in result.replacements] + list(result.exprs)
-        task_locals = frozenset(s.name for s, _ in result.replacements)
-        lines.extend(
-            _binding_lines(
-                body_exprs, system, task_names_table, partial_index, "    ",
-                task_locals,
-            )
-        )
-        for sym, definition in result.replacements:
-            lines.append(
-                f"    {task_names_table(sym.name)} = "
-                f"{expr_code(definition, 'python', task_names_table)}"
-            )
-        state_index = {s: i for i, s in enumerate(system.state_names)}
-        for assignment, expr in zip(body.assignments, result.exprs):
-            text = expr_code(expr, "python", task_names_table)
-            if assignment.is_partial:
-                slot = n + partial_index[assignment.target]
-                lines.append(f"    res[{slot}] = {text}")
-            else:
-                lines.append(f"    res[{state_index[assignment.state]}] = {text}")
-        lines.append("")
-
-    lines.append(f"TASKS = [{', '.join(task_names)}]")
-    lines.append("")
-
-    # -- analytic Jacobian ------------------------------------------------------
-    if jacobian:
-        jac_names = NameTable()
-        entries = _jac_entries(system, jac_entries)
-        jac_cse = cse(
-            [e for _, _, e in entries], symbol_prefix="j_cse", min_ops=cse_min_ops
-        )
-        lines.append("def JAC(t, y, p, jac):")
-        body_exprs = [d for _, d in jac_cse.replacements] + list(jac_cse.exprs)
-        jac_locals = frozenset(s.name for s, _ in jac_cse.replacements)
-        lines.extend(
-            _binding_lines(body_exprs, system, jac_names, {}, "    ", jac_locals)
-        )
-        for sym, definition in jac_cse.replacements:
-            lines.append(
-                f"    {jac_names(sym.name)} = "
-                f"{expr_code(definition, 'python', jac_names)}"
-            )
-        # 2-D ndarray indexing: one tuple index per entry instead of the
-        # chained jac[i][j], which materialises a row view per assignment.
-        for (i, j, _), expr in zip(entries, jac_cse.exprs):
-            lines.append(
-                f"    jac[{i}, {j}] = {expr_code(expr, 'python', jac_names)}"
-            )
-        lines.append("    return jac")
-        lines.append("")
-
-    # -- start values and parameters --------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append(f"NUM_PARTIALS = {len(plan.partial_slots)}")
-    lines.append("")
-
-    source = "\n".join(lines)
-    namespace = _base_namespace()
-    exec(compile(source, f"<generated {system.name}>", "exec"), namespace)
-
-    return PythonModule(
-        source=source,
-        namespace=namespace,
-        num_states=n,
-        num_partials=len(plan.partial_slots),
-        num_cse_serial=serial.num_extracted,
-        num_cse_parallel=num_cse_parallel,
-    )
+    @property
+    def member(self) -> set[str]:
+        return self.state_j.keys() | self.param_j.keys()
 
 
-def _family_section(
-    fam: FamilyLayout,
-    suffix_exprs: Sequence[tuple[int, Expr]],
-    replacements: Sequence[tuple[Sym, Expr]],
-    names: NameTable,
-    out_var: str,
-    indent: str = "    ",
-) -> tuple[list[str], set[str]]:
-    """One family's member loop: index-arithmetic bindings + slot writes.
-
-    ``suffix_exprs`` pairs each state-suffix index ``j`` with its (CSE'd)
-    template expression.  Returns ``(lines, outer_names)`` — the symbols the
-    loop body references that are *not* the representative's own slice and
-    must be bound by the caller before the loop (singleton states, shared
-    parameters, the free variable, CSE temps excluded).
-    """
+def _slice(
+    fam: FamilyLayout, exprs: Sequence[Expr], prefix: str, min_ops: int,
+    where: str,
+) -> _Slice:
+    scope = cse(list(exprs), symbol_prefix=prefix, min_ops=min_ops)
     rep = fam.representative
     state_j = {rep + s: j for j, s in enumerate(fam.state_suffixes)}
     param_j = {rep + s: j for j, s in enumerate(fam.param_suffixes)}
-
-    local = {s.name for s, _ in replacements}
-    used: set[str] = set()
-    for e in [d for _, d in replacements] + [e for _, e in suffix_exprs]:
-        used.update(s.name for s in free_symbols(e))
-    used -= local
-
-    rep_states = sorted(n for n in used if n in state_j)
-    rep_params = sorted(n for n in used if n in param_j)
+    used = _free_names(
+        [d for _, d in scope.replacements] + list(scope.exprs)
+    ) - {s.name for s, _ in scope.replacements}
     stray = [
         n for n in used
         if n.partition(".")[0] == rep and n not in state_j and n not in param_j
@@ -357,32 +206,27 @@ def _family_section(
     if stray:
         raise ValueError(
             f"family {fam.base}: unbindable representative symbols "
-            f"{stray[:5]!r} (not in state/param layout)"
+            f"{stray[:5]!r} {where}"
         )
-    outer = {n for n in used if n not in state_j and n not in param_j}
+    return _Slice(
+        fam, scope.replacements, scope.exprs, frozenset(used), state_j,
+        param_j,
+    )
 
-    inner = indent + "    "
-    lines = [f"{indent}for _i in range({fam.count}):"]
-    lines.append(f"{inner}_sb = {fam.state_base} + _i * {fam.state_stride}")
-    if rep_params:
-        lines.append(
-            f"{inner}_pb = {fam.param_base} + _i * {fam.param_stride}"
-        )
-    for n in rep_states:
-        lines.append(f"{inner}{names(n)} = y[_sb + {state_j[n]}]")
-    for n in rep_params:
-        lines.append(f"{inner}{names(n)} = p[_pb + {param_j[n]}]")
-    for sym, definition in replacements:
-        lines.append(
-            f"{inner}{names(sym.name)} = "
-            f"{expr_code(definition, 'python', names)}"
-        )
-    for j, expr in suffix_exprs:
-        lines.append(
-            f"{inner}{out_var}[_sb + {j}] = "
-            f"{expr_code(expr, 'python', names)}"
-        )
-    return lines, outer
+
+@dataclass(frozen=True)
+class _Reduction:
+    """One family's hoisted sums.
+
+    A body with no member reference folds to ``count * body`` — the
+    coefficient the canonical sum of identical terms carries.  The other
+    bodies share one member pass: ``sums[k]`` accumulates ``body.exprs[k]``.
+    """
+
+    fam: FamilyLayout
+    folded: tuple[tuple[Sym, Expr], ...]
+    sums: tuple[Sym, ...]
+    body: _Slice | None
 
 
 def _hoist_reduces(
@@ -392,51 +236,40 @@ def _hoist_reduces(
 
     The code printer has no lowering for :class:`Reduce`; instead each
     distinct reduction (hash-consing makes duplicates pointer-equal) is
-    replaced by a temp symbol that the backend computes ahead of the
-    statements using it — a member loop here, a strided ``.sum(axis=-1)``
-    in the NumPy backend.  Returns the rewritten expressions plus
+    replaced by a temp symbol that the dialect computes ahead of the
+    statements using it.  The walk visits each distinct node once.
+    Returns the rewritten expressions plus
     ``{(family, start, count): [(temp, reduce), ...]}`` in first-seen
-    order.
+    (preorder) order.
     """
     temps: dict[Expr, Sym] = {}
     groups: dict[tuple[str, int, int], list[tuple[Sym, Reduce]]] = {}
+    seen: set[Expr] = set()
     for e in exprs:
-        for node in preorder(e):
-            if isinstance(node, Reduce) and node not in temps:
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if isinstance(node, Reduce):
                 sym = Sym(f"_red{len(temps)}")
                 temps[node] = sym
                 groups.setdefault(
                     (node.family, node.start, node.count), []
                 ).append((sym, node))
+            stack.extend(reversed(node.args))
     if not temps:
         return list(exprs), {}
     return [substitute(e, temps) for e in exprs], groups
 
 
-def _reduce_section(
+def _reductions(
     red_groups: Mapping[tuple[str, int, int], Sequence[tuple[Sym, Reduce]]],
     fam_by_base: Mapping[str, FamilyLayout],
-    names: NameTable,
-    cse_min_ops: int,
-    indent: str = "    ",
-) -> tuple[list[str], set[str], int]:
-    """Member-loop lowering of hoisted family sums.
-
-    One loop per family accumulates all of that family's sums.
-    Representative state/parameter references inside the bodies bind to
-    member slices through index arithmetic, keyed ``name + "@m"`` in the
-    NameTable so a literal first-member reference elsewhere in the function
-    keeps its own binding.  Everything else the bodies reference is
-    returned in the outer set for the caller to bind before the loop.  A
-    body with no representative references folds to ``count * body`` —
-    the coefficient the canonical sum of identical terms carries.
-
-    Returns ``(lines, outer_names, num_cse_extracted)``.
-    """
-    lines: list[str] = []
-    outer: set[str] = set()
-    num_cse = 0
-    inner = indent + "    "
+    min_ops: int,
+) -> list[_Reduction]:
+    out: list[_Reduction] = []
     for g, ((family, start, count), pairs) in enumerate(red_groups.items()):
         fam = fam_by_base.get(family)
         if (
@@ -449,274 +282,416 @@ def _reduce_section(
                 f"does not match any family layout"
             )
         rep = fam.representative
-        state_j = {rep + s: j for j, s in enumerate(fam.state_suffixes)}
-        param_j = {rep + s: j for j, s in enumerate(fam.param_suffixes)}
-        member = set(state_j) | set(param_j)
-
-        def rename(nm: str, _member=member) -> str:
-            return names(nm + "@m") if nm in _member else names(nm)
-
-        loop_pairs: list[tuple[Sym, Reduce]] = []
+        member = {rep + s for s in fam.state_suffixes + fam.param_suffixes}
+        folded: list[tuple[Sym, Expr]] = []
+        looped: list[tuple[Sym, Expr]] = []
         for sym, node in pairs:
-            body_syms = {s.name for s in free_symbols(node.body)}
-            if body_syms & member:
-                loop_pairs.append((sym, node))
-            else:
-                outer |= body_syms
-                lines.append(
-                    f"{indent}{names(sym.name)} = {count} * "
-                    f"({expr_code(node.body, 'python', names)})"
-                )
-        if not loop_pairs:
-            continue
-        bc = cse(
-            [node.body for _s, node in loop_pairs],
-            symbol_prefix=f"r{g}_cse",
-            min_ops=cse_min_ops,
-        )
-        num_cse += bc.num_extracted
-        local = {s.name for s, _ in bc.replacements}
-        used: set[str] = set()
-        for e in [d for _, d in bc.replacements] + list(bc.exprs):
-            used.update(s.name for s in free_symbols(e))
-        used -= local
-        stray = [
-            nm for nm in used
-            if nm.partition(".")[0] == rep and nm not in member
-        ]
-        if stray:
-            raise ValueError(
-                f"family {family}: unbindable representative symbols "
-                f"{stray[:5]!r} in reduction body"
+            has_member = _free_names([node.body]) & member
+            (looped if has_member else folded).append((sym, node.body))
+        body = None
+        if looped:
+            body = _slice(
+                fam, [b for _s, b in looped], f"r{g}_cse", min_ops,
+                "in reduction body",
             )
-        rep_states = sorted(nm for nm in used if nm in state_j)
-        rep_params = sorted(nm for nm in used if nm in param_j)
-        outer |= {nm for nm in used if nm not in member}
+        out.append(_Reduction(
+            fam, tuple(folded), tuple(s for s, _b in looped), body
+        ))
+    return out
 
-        for sym, _node in loop_pairs:
-            lines.append(f"{indent}{names(sym.name)} = 0.0")
-        lines.append(f"{indent}for _ri in range({count}):")
-        lines.append(
-            f"{inner}_rb = {fam.state_base} + _ri * {fam.state_stride}"
+
+# ---------------------------------------------------------------------------
+# The module emitter
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Dialect:
+    """What the Python and NumPy module targets print differently."""
+
+    #: generating module, named in the header line
+    module: str
+    #: :func:`~repro.symbolic.printer.code` language
+    language: str
+    #: name of the state-vector argument
+    state: str
+    #: entry names: serial RHS, task-function prefix, task list, Jacobian
+    rhs: str
+    task: str
+    tasks: str
+    jac: str
+    #: index the trailing axis (``Y[..., i]``) and run every body under
+    #: ``errstate(all='ignore')``
+    batched: bool
+    #: ``(emitter, slice, suffix indices, output var) -> (lines, outer)``:
+    #: one family section; ``outer`` names are bound by the caller
+    family: Callable
+    #: ``(emitter, reductions) -> (lines, outer)``: hoisted family sums
+    reduce: Callable
+    #: identifiers the NameTable must never hand out
+    reserved: tuple[str, ...] = ()
+    #: helper source printed ahead of the entry points of array modules
+    prelude: str = ""
+
+    @property
+    def indent(self) -> str:
+        return "        " if self.batched else "    "
+
+    def at(self, var: str, index: object) -> str:
+        return f"{var}[..., {index}]" if self.batched else f"{var}[{index}]"
+
+
+class _Emitter:
+    """Prints one module — RHS, TASKS, optional JAC, START/PARAMS — in one
+    dialect.  ``names`` is the NameTable of the function being printed."""
+
+    def __init__(
+        self,
+        dialect: Dialect,
+        system: OdeSystem | ArraySystem,
+        plan: TaskPlan,
+        cse_min_ops: int,
+    ) -> None:
+        self.d = dialect
+        self.system = system
+        self.plan = plan
+        self.min_ops = cse_min_ops
+        self.fam_by_base = {f.base: f for f in system.families}
+        n = system.num_states
+        self.state_index = {s: i for i, s in enumerate(system.state_names)}
+        self.param_index = {s: i for i, s in enumerate(system.param_names)}
+        self.slot_index = {
+            slot: n + k for k, slot in enumerate(plan.partial_slots)
+        }
+        self.names = NameTable(reserved=dialect.reserved)
+        self.lines: list[str] = []
+
+    def code(self, expr: Expr, rename: Callable | None = None) -> str:
+        return expr_code(
+            expr, self.d.language, self.names if rename is None else rename
         )
+
+    def bind(self, used: Sequence[str]) -> list[str]:
+        """Bindings of the free variable, states, parameters and
+        partial-sum slots among ``used`` (in the given order)."""
+        d, indent = self.d, self.d.indent
+        lines = []
+        for name in used:
+            ident = self.names(name)
+            if name == self.system.free_var:
+                if ident != "t":
+                    lines.append(f"{indent}{ident} = t")
+            elif name in self.state_index:
+                at = d.at(d.state, self.state_index[name])
+                lines.append(f"{indent}{ident} = {at}")
+            elif name in self.param_index:
+                lines.append(
+                    f"{indent}{ident} = {d.at('p', self.param_index[name])}"
+                )
+            elif name in self.slot_index:
+                lines.append(
+                    f"{indent}{ident} = {d.at('res', self.slot_index[name])}"
+                )
+            else:
+                raise ValueError(f"cannot bind symbol {name!r} in generated code")
+        return lines
+
+    def function(
+        self,
+        name: str,
+        out: str,
+        writes: Sequence[tuple[object, Expr]],
+        sections: Sequence[tuple[FamilyLayout, Sequence[tuple[int, Expr]]]] = (),
+        prefix: str = "g_cse",
+        start: int = 0,
+        returns: bool = True,
+    ) -> tuple[int, int]:
+        """Print ``def name(t, <state>, p, out)``.
+
+        ``writes`` are ``(index into out, expr)`` singleton statements, CSE'd
+        as one scope with temporaries numbered from ``start``; ``sections``
+        are ``(family, [(state suffix index, template)])``, one CSE scope
+        each.  Returns ``(temporaries of the singleton scope, all
+        temporaries)``.
+        """
+        d, indent = self.d, self.d.indent
+        self.names = NameTable(reserved=d.reserved)
+        exprs, red_groups = _hoist_reduces([e for _i, e in writes])
+        scope = cse(
+            exprs, symbol_prefix=prefix, min_ops=self.min_ops,
+            start_index=start,
+        )
+        reductions = _reductions(red_groups, self.fam_by_base, self.min_ops)
+        red_lines, needed = d.reduce(self, reductions)
+        num_cse = scope.num_extracted + sum(
+            len(r.body.temps) for r in reductions if r.body is not None
+        )
+        section_lines: list[str] = []
+        for k, (fam, targets) in enumerate(sections):
+            s = _slice(
+                fam, [e for _j, e in targets], f"f{k}_cse", self.min_ops,
+                "(not in state/param layout)",
+            )
+            num_cse += len(s.temps)
+            lines, outer = d.family(self, s, [j for j, _e in targets], out)
+            section_lines.extend(lines)
+            needed |= outer
+        needed |= _free_names(
+            [dfn for _, dfn in scope.replacements] + list(scope.exprs)
+        )
+        needed -= {s.name for s, _ in scope.replacements}
+        needed -= {s.name for pairs in red_groups.values() for s, _ in pairs}
+
+        lines = self.lines
+        lines.append(f"def {name}(t, {d.state}, p, {out}):")
+        if d.batched:
+            lines.append("    with errstate(all='ignore'):")
+        lines.extend(self.bind(sorted(needed)))
+        lines.extend(red_lines)
+        for sym, definition in scope.replacements:
+            lines.append(
+                f"{indent}{self.names(sym.name)} = {self.code(definition)}"
+            )
+        for (i, _e), expr in zip(writes, scope.exprs):
+            lines.append(f"{indent}{d.at(out, i)} = {self.code(expr)}")
+        lines.extend(section_lines)
+        if returns:
+            lines.append(f"    return {out}")
+        lines.append("")
+        return scope.num_extracted, num_cse
+
+    def module(self, jac: JacEntries | None) -> tuple[str, int, int]:
+        """The module source plus its serial and per-task CSE counts."""
+        d, system, plan = self.d, self.system, self.plan
+        families = system.families
+        mode = " (array mode)" if families else ""
+        self.lines = [
+            f'"""Generated by repro.codegen.{d.module}{mode} — do not edit."""',
+            "",
+        ]
+        if families and d.prelude:
+            self.lines += [d.prelude, ""]
+
+        # -- serial RHS with global CSE -------------------------------------
+        _, num_cse_serial = self.function(
+            d.rhs, "out", system.singleton_rhs,
+            [(fam, list(enumerate(fam.template_rhs))) for fam in families],
+        )
+
+        # -- per-task functions with per-task CSE ----------------------------
+        num_cse_parallel = 0
+        next_temp = 0
+        task_names: list[str] = []
+        for body in plan.bodies:
+            writes: list[tuple[int, Expr]] = []
+            by_family: dict[str, tuple[FamilyLayout, list]] = {}
+            for a in body.assignments:
+                if a.is_array:
+                    fam = self.fam_by_base[a.state.partition("[")[0]]
+                    suffix = a.state[len(fam.base) + 3:]  # strip "<base>[*]"
+                    by_family.setdefault(fam.base, (fam, []))[1].append(
+                        (fam.state_suffixes.index(suffix), a.expr)
+                    )
+                elif a.is_partial:
+                    writes.append((self.slot_index[a.target], a.expr))
+                else:
+                    writes.append((self.state_index[a.state], a.expr))
+            fn = f"{d.task}{body.task_id}"
+            task_names.append(fn)
+            scope_temps, all_temps = self.function(
+                fn, "res", writes, list(by_family.values()),
+                prefix="l_cse", start=next_temp, returns=False,
+            )
+            next_temp += scope_temps
+            num_cse_parallel += all_temps
+        self.lines += [f"{d.tasks} = [{', '.join(task_names)}]", ""]
+
+        # -- analytic Jacobian -------------------------------------------------
+        # One tuple index per entry (``jac[i, j]``) instead of the chained
+        # jac[i][j], which materialises a row view per assignment.
+        if jac is not None:
+            self.function(
+                d.jac, "jac", [(f"{i}, {j}", e) for i, j, e in jac],
+                prefix="j_cse",
+            )
+
+        # -- start values and parameters ---------------------------------------
+        self.lines += [
+            "def START():",
+            f"    return {list(system.start_values)!r}",
+            "",
+            "def PARAMS():",
+            f"    return {list(system.param_values)!r}",
+            "",
+            f"STATE_NAMES = {list(system.state_names)!r}",
+            f"PARAM_NAMES = {list(system.param_names)!r}",
+            f"NUM_PARTIALS = {len(plan.partial_slots)}",
+            "",
+        ]
+        return "\n".join(self.lines), num_cse_serial, num_cse_parallel
+
+
+def emit_module(
+    dialect: Dialect,
+    system: OdeSystem | ArraySystem,
+    plan: TaskPlan | None = None,
+    jacobian: bool = False,
+    cse_min_ops: int = 1,
+    jac_entries: JacEntries | None = None,
+) -> tuple[TaskPlan, str, int, int]:
+    """Print the module for ``system`` in ``dialect``.
+
+    ``plan`` defaults to the scalar or array partitioner with default
+    thresholds.  Returns ``(plan, source, num_cse_serial,
+    num_cse_parallel)``.
+    """
+    if isinstance(system, ArraySystem):
+        if jacobian:
+            raise ValueError(
+                "analytic Jacobian requires scalar equations; compile with "
+                "flatten_mode='scalar' (the compiler scalarizes automatically)"
+            )
+        if plan is None:
+            plan = partition_tasks_array(system)
+    elif plan is None:
+        plan = partition_tasks(system)
+    jac = _jac_entries(system, jac_entries) if jacobian else None
+    source, num_serial, num_parallel = _Emitter(
+        dialect, system, plan, cse_min_ops
+    ).module(jac)
+    return plan, source, num_serial, num_parallel
+
+
+# ---------------------------------------------------------------------------
+# The Python dialect: member loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_family(
+    em: _Emitter, s: _Slice, js: Sequence[int], out: str
+) -> tuple[list[str], set[str]]:
+    """One member loop: index arithmetic (``_sb = state_base + _i *
+    stride``) binds the representative's identifiers to each member's
+    slots, so the loop body IS the template, printed once."""
+    fam, indent = s.fam, em.d.indent
+    inner = indent + "    "
+    rep_states = sorted(n for n in s.used if n in s.state_j)
+    rep_params = sorted(n for n in s.used if n in s.param_j)
+    lines = [
+        f"{indent}for _i in range({fam.count}):",
+        f"{inner}_sb = {fam.state_base} + _i * {fam.state_stride}",
+    ]
+    if rep_params:
+        lines.append(f"{inner}_pb = {fam.param_base} + _i * {fam.param_stride}")
+    for n in rep_states:
+        lines.append(f"{inner}{em.names(n)} = y[_sb + {s.state_j[n]}]")
+    for n in rep_params:
+        lines.append(f"{inner}{em.names(n)} = p[_pb + {s.param_j[n]}]")
+    for sym, definition in s.temps:
+        lines.append(f"{inner}{em.names(sym.name)} = {em.code(definition)}")
+    for j, expr in zip(js, s.exprs):
+        lines.append(f"{inner}{out}[_sb + {j}] = {em.code(expr)}")
+    return lines, set(s.used - s.member)
+
+
+def _loop_reduce(
+    em: _Emitter, reductions: Sequence[_Reduction]
+) -> tuple[list[str], set[str]]:
+    """One accumulation loop per family over all of that family's sums.
+
+    Member references inside the bodies are keyed ``name + "@m"`` in the
+    NameTable, so a literal first-member reference elsewhere in the
+    function keeps its own binding.
+    """
+    indent = em.d.indent
+    inner = indent + "    "
+    lines: list[str] = []
+    outer: set[str] = set()
+    for r in reductions:
+        fam = r.fam
+        for sym, body in r.folded:
+            outer |= _free_names([body])
+            lines.append(
+                f"{indent}{em.names(sym.name)} = {fam.count} * "
+                f"({em.code(body)})"
+            )
+        s = r.body
+        if s is None:
+            continue
+
+        def rename(nm: str, _member=s.member) -> str:
+            return em.names(nm + "@m") if nm in _member else em.names(nm)
+
+        rep_states = sorted(nm for nm in s.used if nm in s.state_j)
+        rep_params = sorted(nm for nm in s.used if nm in s.param_j)
+        outer |= s.used - s.member
+        for sym in r.sums:
+            lines.append(f"{indent}{em.names(sym.name)} = 0.0")
+        lines.append(f"{indent}for _ri in range({fam.count}):")
+        lines.append(f"{inner}_rb = {fam.state_base} + _ri * {fam.state_stride}")
         if rep_params:
             lines.append(
                 f"{inner}_rpb = {fam.param_base} + _ri * {fam.param_stride}"
             )
         for nm in rep_states:
-            lines.append(f"{inner}{rename(nm)} = y[_rb + {state_j[nm]}]")
+            lines.append(f"{inner}{rename(nm)} = y[_rb + {s.state_j[nm]}]")
         for nm in rep_params:
-            lines.append(f"{inner}{rename(nm)} = p[_rpb + {param_j[nm]}]")
-        for sym, definition in bc.replacements:
+            lines.append(f"{inner}{rename(nm)} = p[_rpb + {s.param_j[nm]}]")
+        for sym, definition in s.temps:
             lines.append(
-                f"{inner}{names(sym.name)} = "
-                f"{expr_code(definition, 'python', rename)}"
+                f"{inner}{em.names(sym.name)} = {em.code(definition, rename)}"
             )
-        for (sym, _node), body in zip(loop_pairs, bc.exprs):
+        for sym, expr in zip(r.sums, s.exprs):
             lines.append(
-                f"{inner}{names(sym.name)} += "
-                f"{expr_code(body, 'python', rename)}"
+                f"{inner}{em.names(sym.name)} += {em.code(expr, rename)}"
             )
-    return lines, outer, num_cse
+    return lines, outer
 
 
-def _array_suffix_index(a: Assignment, fam: FamilyLayout) -> int:
-    """State-suffix index of an array assignment within its family."""
-    suffix = a.state[len(fam.base) + 3:]  # strip "<base>[*]"
-    return fam.state_suffixes.index(suffix)
+PYTHON = Dialect(
+    module="gen_python",
+    language="python",
+    state="y",
+    rhs="RHS",
+    task="task_",
+    tasks="TASKS",
+    jac="JAC",
+    batched=False,
+    family=_loop_family,
+    reduce=_loop_reduce,
+)
 
 
-def _generate_python_array(
-    system: ArraySystem,
-    plan: TaskPlan | None,
-    jacobian: bool,
-    cse_min_ops: int,
+def generate_python(
+    system: OdeSystem | ArraySystem,
+    plan: TaskPlan | None = None,
+    jacobian: bool = False,
+    cse_min_ops: int = 1,
+    jac_entries: JacEntries | None = None,
 ) -> PythonModule:
-    """Array-mode Python back end: one member loop per family.
+    """Generate and compile the Python RHS module for ``system``.
 
-    The serial RHS and every task body iterate ``for _i in range(count)``
-    with index arithmetic (``_sb = state_base + _i * stride``) binding the
-    representative's identifiers to member slices — the loop body IS the
-    template, printed once.  Generated source size is O(class structure).
+    ``plan`` defaults to :func:`~repro.codegen.tasks.partition_tasks` (or
+    :func:`~repro.codegen.tasks.partition_tasks_array`) with default
+    thresholds.  ``jacobian=True`` additionally emits the analytic
+    Jacobian (one statement per structurally non-zero entry — opt in for
+    large systems) from ``jac_entries``, derived here when not given; an
+    :class:`~repro.codegen.transform.ArraySystem` refuses it.  Each
+    family of an array system prints as one member loop, so the generated
+    text is sized by class structure.
     """
-    if jacobian:
-        raise ValueError(
-            "analytic Jacobian requires scalar equations; compile with "
-            "flatten_mode='scalar' (the compiler scalarizes automatically)"
-        )
-    if plan is None:
-        plan = partition_tasks_array(system)
-
-    n = system.num_states
-    fam_by_base = {f.base: f for f in system.families}
-
-    lines: list[str] = [
-        '"""Generated by repro.codegen.gen_python (array mode) — do not '
-        'edit."""',
-        "",
-    ]
-
-    # -- serial RHS: singleton writes, then one loop per family ----------------
-    names = NameTable()
-    singleton_exprs, red_groups = _hoist_reduces(
-        [e for _i, e in system.singleton_rhs]
+    plan, source, num_serial, num_parallel = emit_module(
+        PYTHON, system, plan, jacobian, cse_min_ops, jac_entries
     )
-    red_locals = {
-        s.name for pairs in red_groups.values() for s, _ in pairs
-    }
-    serial = cse(singleton_exprs, symbol_prefix="g_cse", min_ops=cse_min_ops)
-    serial_locals = frozenset(
-        s.name for s, _ in serial.replacements
-    ) | red_locals
-    num_cse_serial = serial.num_extracted
-    red_lines, red_outer, red_cse = _reduce_section(
-        red_groups, fam_by_base, names, cse_min_ops
-    )
-    num_cse_serial += red_cse
-
-    fam_sections: list[list[str]] = []
-    outer_needed: set[str] = set()
-    for k, fam in enumerate(system.families):
-        fc = cse(
-            list(fam.template_rhs),
-            symbol_prefix=f"f{k}_cse",
-            min_ops=cse_min_ops,
-        )
-        num_cse_serial += fc.num_extracted
-        section, outer = _family_section(
-            fam,
-            list(enumerate(fc.exprs)),
-            fc.replacements,
-            names,
-            "out",
-        )
-        fam_sections.append(section)
-        outer_needed |= outer
-
-    body_exprs = [d for _, d in serial.replacements] + list(serial.exprs)
-    for e in body_exprs:
-        outer_needed.update(s.name for s in free_symbols(e))
-    outer_needed |= red_outer
-    outer_needed -= serial_locals
-
-    lines.append("def RHS(t, y, p, out):")
-    lines.extend(_bind_names(sorted(outer_needed), system, names, {}, "    "))
-    lines.extend(red_lines)
-    for sym, definition in serial.replacements:
-        lines.append(
-            f"    {names(sym.name)} = "
-            f"{expr_code(definition, 'python', names)}"
-        )
-    for (i, _e), expr in zip(system.singleton_rhs, serial.exprs):
-        lines.append(f"    out[{i}] = {expr_code(expr, 'python', names)}")
-    for section in fam_sections:
-        lines.extend(section)
-    lines.append("    return out")
-    lines.append("")
-
-    # -- per-task functions -----------------------------------------------------
-    num_cse_parallel = 0
-    task_names: list[str] = []
-    state_index = {s: i for i, s in enumerate(system.state_names)}
-
-    for body in plan.bodies:
-        fn = f"task_{body.task_id}"
-        task_names.append(fn)
-        tnames = NameTable()
-
-        scalar_assigns = [a for a in body.assignments if a.count == 1]
-        fam_assigns: dict[str, list[Assignment]] = {}
-        for a in body.assignments:
-            if a.count > 1:
-                fam_assigns.setdefault(a.state.partition("[")[0], []).append(a)
-
-        scalar_exprs, t_red_groups = _hoist_reduces(
-            [a.expr for a in scalar_assigns]
-        )
-        t_red_locals = {
-            s.name for pairs in t_red_groups.values() for s, _ in pairs
-        }
-        scalar_cse = cse(
-            scalar_exprs, symbol_prefix="l_cse", min_ops=cse_min_ops
-        )
-        scalar_locals = frozenset(
-            s.name for s, _ in scalar_cse.replacements
-        ) | t_red_locals
-        t_red_lines, t_red_outer, t_red_cse = _reduce_section(
-            t_red_groups, fam_by_base, tnames, cse_min_ops
-        )
-        num_cse_parallel += scalar_cse.num_extracted + t_red_cse
-
-        sections: list[list[str]] = []
-        needed: set[str] = set(t_red_outer)
-        for k, (base, assigns) in enumerate(fam_assigns.items()):
-            fam = fam_by_base[base]
-            fc = cse(
-                [a.expr for a in assigns],
-                symbol_prefix=f"f{k}_cse",
-                min_ops=cse_min_ops,
-            )
-            num_cse_parallel += fc.num_extracted
-            suffix_exprs = [
-                (_array_suffix_index(a, fam), e)
-                for a, e in zip(assigns, fc.exprs)
-            ]
-            section, outer = _family_section(
-                fam, suffix_exprs, fc.replacements, tnames, "res"
-            )
-            sections.append(section)
-            needed |= outer
-
-        body_exprs = [d for _, d in scalar_cse.replacements] + list(
-            scalar_cse.exprs
-        )
-        for e in body_exprs:
-            needed.update(s.name for s in free_symbols(e))
-        needed -= scalar_locals
-
-        lines.append(f"def {fn}(t, y, p, res):")
-        lines.extend(_bind_names(sorted(needed), system, tnames, {}, "    "))
-        lines.extend(t_red_lines)
-        for sym, definition in scalar_cse.replacements:
-            lines.append(
-                f"    {tnames(sym.name)} = "
-                f"{expr_code(definition, 'python', tnames)}"
-            )
-        for a, expr in zip(scalar_assigns, scalar_cse.exprs):
-            lines.append(
-                f"    res[{state_index[a.state]}] = "
-                f"{expr_code(expr, 'python', tnames)}"
-            )
-        for section in sections:
-            lines.extend(section)
-        lines.append("")
-
-    lines.append(f"TASKS = [{', '.join(task_names)}]")
-    lines.append("")
-
-    # -- start values and parameters --------------------------------------------
-    lines.append("def START():")
-    lines.append(f"    return {list(system.start_values)!r}")
-    lines.append("")
-    lines.append("def PARAMS():")
-    lines.append(f"    return {list(system.param_values)!r}")
-    lines.append("")
-    lines.append(f"STATE_NAMES = {list(system.state_names)!r}")
-    lines.append(f"PARAM_NAMES = {list(system.param_names)!r}")
-    lines.append("NUM_PARTIALS = 0")
-    lines.append("")
-
-    source = "\n".join(lines)
     namespace = _base_namespace()
     exec(compile(source, f"<generated {system.name}>", "exec"), namespace)
-
     return PythonModule(
         source=source,
         namespace=namespace,
-        num_states=n,
-        num_partials=0,
-        num_cse_serial=num_cse_serial,
-        num_cse_parallel=num_cse_parallel,
+        num_states=system.num_states,
+        num_partials=len(plan.partial_slots),
+        num_cse_serial=num_serial,
+        num_cse_parallel=num_parallel,
     )
 
 

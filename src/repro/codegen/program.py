@@ -44,9 +44,30 @@ from .verify import VerifyReport, verify_compilable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .native import NativeModule
 
-__all__ = ["GeneratedProgram", "ProgramSpec", "generate_program", "BACKENDS"]
+__all__ = [
+    "BACKENDS",
+    "GeneratedProgram",
+    "ProgramSpec",
+    "generate_program",
+    "scalarize_reason",
+]
 
 BACKENDS = ("python", "numpy", "c")
+
+
+def scalarize_reason(
+    jacobian: bool, shared_cse: bool, backend: str
+) -> str | None:
+    """Why these features need scalar equations (None = array mode
+    serves them): per-entry differentiation, cross-equation CSE and native
+    emission have no array lowering."""
+    if jacobian:
+        return "analytic Jacobian requires scalar equations"
+    if shared_cse:
+        return "shared-CSE tasks require scalar equations"
+    if backend == "c":
+        return "native C backend requires scalar equations"
+    return None
 
 
 @dataclass(frozen=True)
@@ -407,13 +428,11 @@ class GeneratedProgram:
                 slot: self.num_states + i
                 for i, slot in enumerate(self.plan.partial_slots)
             }
-            array_slots: dict[str, tuple[int, ...]] = {}
-            if isinstance(self.system, ArraySystem):
-                for fam in self.system.families:
-                    for j, suffix in enumerate(fam.state_suffixes):
-                        array_slots[f"der:{fam.base}[*]{suffix}"] = (
-                            fam.state_slots(j)
-                        )
+            array_slots = {
+                f"der:{fam.base}[*]{suffix}": fam.state_slots(j)
+                for fam in self.system.families
+                for j, suffix in enumerate(fam.state_suffixes)
+            }
             self._slot_index = (state_index, partial_index, array_slots)
         state_index, partial_index, array_slots = self._slot_index
         slots: list[int] = []
@@ -440,7 +459,6 @@ def generate_program(
     jacobian: bool = False,
     group_threshold: float | None = None,
     split_threshold: float | None = None,
-    cse_min_ops: int = 1,
     shared_cse: bool = False,
     backend: str = "python",
     fuse: bool = True,
@@ -473,12 +491,10 @@ def generate_program(
         from ..compiler.context import unknown_backend_message
 
         raise ValueError(unknown_backend_message(backend))
-    if isinstance(system, ArraySystem) and (
-        jacobian or shared_cse or backend == "c"
+    if isinstance(system, ArraySystem) and scalarize_reason(
+        jacobian, shared_cse, backend
     ):
-        # These modes need scalar equations (per-entry differentiation,
-        # cross-equation CSE, native emission); expand gracefully rather
-        # than reject.
+        # expand gracefully rather than reject
         system = system.expand()
     report = verify_compilable(system)
     if isinstance(system, ArraySystem):
@@ -504,14 +520,12 @@ def generate_program(
         jacobian_entries(system.rhs, system.state_names) if jacobian else None
     )
     module = generate_python(
-        system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
-        jac_entries=jac_entries,
+        system, plan=plan, jacobian=jacobian, jac_entries=jac_entries
     )
     vector_module = None
     if backend == "numpy":
         vector_module = generate_numpy(
-            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
-            jac_entries=jac_entries,
+            system, plan=plan, jacobian=jacobian, jac_entries=jac_entries
         )
     native_module = None
     native_fallback = None
@@ -520,8 +534,8 @@ def generate_program(
         from .native import NativeUnavailable, build_native_module
 
         native_source = generate_c_tasks(
-            system, plan=plan, jacobian=jacobian, cse_min_ops=cse_min_ops,
-            blocks=blocks, jac_entries=jac_entries,
+            system, plan=plan, jacobian=jacobian, blocks=blocks,
+            jac_entries=jac_entries,
         )
         try:
             native_module, _ = build_native_module(native_source)

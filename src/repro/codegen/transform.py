@@ -65,6 +65,16 @@ class OdeSystem:
     def num_states(self) -> int:
         return len(self.state_names)
 
+    @property
+    def singleton_rhs(self) -> tuple[tuple[int, Expr], ...]:
+        """Every state is a singleton: the :class:`ArraySystem` view."""
+        return tuple(enumerate(self.rhs))
+
+    @property
+    def families(self) -> tuple["FamilyLayout", ...]:
+        """No instance families: the :class:`ArraySystem` view."""
+        return ()
+
     def state_index(self, name: str) -> int:
         return self.state_names.index(name)
 

@@ -69,10 +69,11 @@ def unknown_backend_message(backend: object) -> str:
 class CompileOptions:
     """Everything that parameterises one compilation.
 
-    The fields mirror :func:`repro.frontend.compile_model` exactly; the
-    extra knobs (``cache``, ``dump_after``, ``collect_errors``) are only
-    reachable through the driver API and the CLI so the public facade
-    signature stays frozen.
+    The fields up to ``fuse_threshold`` are the keyword arguments of
+    :func:`repro.frontend.compile_model`; the infrastructure knobs after
+    them (``cache``, ``native_cache``, ``dump_after``, ``collect_errors``)
+    are only reachable through the driver API and the CLI, so the public
+    facade signature stays frozen.
     """
 
     cost_model: CostModel = DEFAULT_COST_MODEL
@@ -81,19 +82,17 @@ class CompileOptions:
     split_threshold: float | None = None
     shared_cse: bool = False
     backend: str = "python"
-    cse_min_ops: int = 1
     #: "scalar" enumerates every instance at flatten time (the classic
     #: path); "array" keeps instance families symbolic — one template per
-    #: class × slice — through analysis and codegen, scalarizing only when
-    #: a requested feature (jacobian, shared CSE) needs scalar equations
+    #: class × slice — through analysis and codegen.  The ``scalarize``
+    #: pass lowers to scalar equations when the flat model fell back or has
+    #: no instance families, or when a requested feature needs them
+    #: (analytic Jacobian, shared CSE, ``backend="c"``)
     flatten_mode: str = "scalar"
     #: run the fuse_tasks pass (merge small tasks up to fuse_threshold)
     fuse: bool = True
     #: fused-task body-cost threshold in cost-model seconds (None = auto)
     fuse_threshold: float | None = None
-    #: solver stages shipped per worker round-trip (None = runtime "auto");
-    #: recorded at compile time so fused artifacts can't alias across K
-    stage_chunk: int | None = None
     #: content-addressed artifact cache (None disables caching)
     cache: "ArtifactCache | None" = None
     #: native build-product cache for ``backend="c"`` (None = the
@@ -124,10 +123,8 @@ class CompileOptions:
             "group_threshold": self.group_threshold,
             "split_threshold": self.split_threshold,
             "shared_cse": self.shared_cse,
-            "cse_min_ops": self.cse_min_ops,
             "fuse": self.fuse,
             "fuse_threshold": self.fuse_threshold,
-            "stage_chunk": self.stage_chunk,
             "cost_model": {
                 f.name: getattr(self.cost_model, f.name)
                 for f in dataclass_fields(self.cost_model)

@@ -33,11 +33,15 @@ product — or rebuilds it once if this machine has never seen the model);
 model / flat model.  With ``jacobian=True`` the ``codegen`` pass derives
 the analytic Jacobian once (:func:`~repro.symbolic.diff.jacobian_entries`)
 and hands the same entries to every printer.  ``scalarize`` only acts on
-array flat models whose array path cannot serve the requested options
-(flatten fallback, analytic Jacobian, shared CSE) — it lowers back to the
-scalar enumeration and the rest of the pipeline proceeds classically.  The driver functions at the
-bottom (:func:`compile_context`, :func:`build_default_manager`) are what
-the :mod:`repro.frontend` facade and the ``repro compile`` CLI verb call.
+array flat models whose array path cannot serve the compile: a flatten
+fallback, no instance families, or a feature that needs scalar equations
+(:func:`~repro.codegen.program.scalarize_reason`: analytic Jacobian,
+shared CSE, ``backend="c"``).  It lowers back to the scalar enumeration
+and the rest of the pipeline proceeds classically.
+
+The driver functions at the bottom (:func:`compile_context`,
+:func:`build_default_manager`) are what the :mod:`repro.frontend` facade
+and the ``repro compile`` CLI verb call.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 from ..analysis import ArrayPartition, partition as run_partition
 from ..codegen.gen_numpy import generate_numpy
 from ..codegen.gen_python import generate_python
-from ..codegen.program import GeneratedProgram
+from ..codegen.program import GeneratedProgram, scalarize_reason
 from ..codegen.tasks import partition_tasks, partition_tasks_array
 from ..codegen.transform import ArraySystem, make_array_system, make_ode_system
 from ..codegen.verify import verify_compilable
@@ -150,13 +154,9 @@ def _scalarize_trigger(
         return f"flatten fallback: {flat.fallback_reason}"
     if not flat.groups:
         return "no instance families"
-    if options.jacobian:
-        return "analytic Jacobian requires scalar equations"
-    if options.shared_cse:
-        return "shared-CSE tasks require scalar equations"
-    if options.backend == "c":
-        return "native C backend requires scalar equations"
-    return None
+    return scalarize_reason(
+        options.jacobian, options.shared_cse, options.backend
+    )
 
 
 def _run_scalarize(ctx: CompilationContext) -> None:
@@ -283,7 +283,6 @@ def _run_codegen(ctx: CompilationContext) -> None:
         ctx.system,
         plan=ctx.plan,
         jacobian=opts.jacobian,
-        cse_min_ops=opts.cse_min_ops,
         jac_entries=jac_entries,
     )
     if opts.backend == "numpy":
@@ -291,7 +290,6 @@ def _run_codegen(ctx: CompilationContext) -> None:
             ctx.system,
             plan=ctx.plan,
             jacobian=opts.jacobian,
-            cse_min_ops=opts.cse_min_ops,
             jac_entries=jac_entries,
         )
     if opts.backend == "c":
@@ -301,7 +299,6 @@ def _run_codegen(ctx: CompilationContext) -> None:
             ctx.system,
             plan=ctx.plan,
             jacobian=opts.jacobian,
-            cse_min_ops=opts.cse_min_ops,
             blocks=_scc_blocks(ctx),
             jac_entries=jac_entries,
         )
@@ -326,7 +323,6 @@ def _run_link_native(ctx: CompilationContext) -> None:
             ctx.system,
             plan=ctx.plan,
             jacobian=ctx.options.jacobian,
-            cse_min_ops=ctx.options.cse_min_ops,
             blocks=_scc_blocks(ctx),
         )
     try:

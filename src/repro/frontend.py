@@ -106,9 +106,10 @@ def compile_model(
     template equation slice per class — from flattening through code
     generation, making compile time scale with class structure rather
     than instance count; the ``scalarize`` pass lowers back to the scalar
-    enumeration automatically when a requested feature (analytic
-    Jacobian, shared CSE) needs scalar equations.  When ``model`` is
-    already flat the requested mode has no effect on flattening itself.
+    enumeration automatically when the model has no instance families or
+    a requested feature (analytic Jacobian, shared CSE, ``backend="c"``)
+    needs scalar equations.  When ``model`` is already flat the requested
+    mode has no effect on flattening itself.
 
     ``fuse=False`` disables the ``fuse_tasks`` coarsening pass (A/B
     debugging escape hatch, also reachable as ``repro compile --no-fuse``);

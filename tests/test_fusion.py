@@ -110,8 +110,6 @@ class TestFusePass:
         assert CompileOptions(fuse=False).codegen_fingerprint() != base
         assert (CompileOptions(fuse_threshold=1e-3).codegen_fingerprint()
                 != base)
-        assert (CompileOptions(stage_chunk=3).codegen_fingerprint()
-                != base)
 
     def test_fusion_stats_histogram_bands(self):
         stats = FusionStats(tasks_before=10, tasks_after=4, threshold=1.0,
