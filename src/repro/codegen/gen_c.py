@@ -11,10 +11,11 @@ Two emitters live here:
   -t c``), mirroring the Fortran back end, and
 * :func:`generate_c_tasks` — a self-contained *executable* translation
   unit (:class:`NativeSource`): serial ``RHS``, one exported ``task_k``
-  entry point per (possibly fused) task body, the sparse SCC-block
-  analytic Jacobian, and the start/parameter vectors.  The native build
-  layer (:mod:`repro.codegen.native`) compiles it into a loadable shared
-  object for ``backend="c"``.
+  entry point per (possibly fused) task body, the ``run_tasks`` batch
+  entry over them, the sparse SCC-block analytic Jacobian, and the
+  start/parameter vectors.  The native build layer
+  (:mod:`repro.codegen.native`) compiles it into a loadable shared object
+  for ``backend="c"``.
 """
 
 from __future__ import annotations
@@ -326,6 +327,42 @@ def _row_blocks(
     return [blocks.get(s, fallback) for s in system.state_names]
 
 
+_RUN_ARGS = _ARGS + ", const int *ids, int n, double *times"
+
+
+def _run_tasks_lines(num_tasks: int) -> list[str]:
+    """The batch entry: a table of the task pointers and one loop over
+    the listed ids, timing each task from the previous one's end."""
+    signature = f"void run_tasks({_RUN_ARGS})"
+    if not num_tasks:
+        return [
+            "", signature, "{",
+            "  (void)t; (void)yin; (void)p; (void)yout; (void)ids; (void)n;"
+            " (void)times;",
+            "}",
+        ]
+    table = ", ".join(f"task_{k}" for k in range(num_tasks))
+    return [
+        "",
+        "typedef void (*task_fn)(double, const double *, const double *, "
+        "double *);",
+        f"static task_fn const TASK_TABLE[{num_tasks}] = {{{table}}};",
+        "",
+        signature,
+        "{",
+        "  struct timespec a, b;",
+        "  clock_gettime(CLOCK_MONOTONIC, &a);",
+        "  for (int k = 0; k < n; ++k) {",
+        "    TASK_TABLE[ids[k]](t, yin, p, yout);",
+        "    clock_gettime(CLOCK_MONOTONIC, &b);",
+        "    times[ids[k]] = (double)(b.tv_sec - a.tv_sec)",
+        "                    + 1e-9 * (double)(b.tv_nsec - a.tv_nsec);",
+        "    a = b;",
+        "  }",
+        "}",
+    ]
+
+
 def generate_c_tasks(
     system: OdeSystem,
     plan: TaskPlan | None = None,
@@ -343,6 +380,11 @@ def generate_c_tasks(
     * ``task_<k>(t, yin, p, yout)`` — one entry point per (fused) task
       body of ``plan``, writing its slots of the shared results vector
       (states first, partial sums after — the Python backend's layout),
+    * ``run_tasks(t, yin, p, yout, ids, n, times)`` — calls the ``n``
+      tasks listed in ``ids`` in order, through a static table of the
+      ``task_<k>`` pointers, and writes each one's ``CLOCK_MONOTONIC``
+      wall time in seconds into ``times[id]``: a worker's whole task list
+      of a level in one foreign call,
     * with ``jacobian=True``: ``JAC(t, yin, p, vals)`` writing only the
       structurally nonzero ``jac_entries`` (derived here when not given;
       ordered per SCC block via ``blocks``), plus ``JAC_NNZ()`` /
@@ -350,8 +392,8 @@ def generate_c_tasks(
     * ``START(y0)`` / ``PARAMS(pout)`` and the ``NUM_*()`` layout probes
       the loader cross-checks against this object.
 
-    The unit is self-contained (``#include <math.h>`` only) and compiles
-    warning-free under ``-Wall -Werror``.
+    The unit is self-contained (``<math.h>`` and ``<time.h>`` only) and
+    compiles warning-free under ``-Wall -Werror``.
     """
     if plan is None:
         plan = partition_tasks(system)
@@ -364,7 +406,9 @@ def generate_c_tasks(
     lines: list[str] = [
         f"/* Generated by repro.codegen.gen_c (native) "
         f"for model {system.name} */",
+        "#define _POSIX_C_SOURCE 199309L  /* clock_gettime */",
         "#include <math.h>",
+        "#include <time.h>",
         "",
         _SIGN_HELPER,
         "",
@@ -419,6 +463,8 @@ def generate_c_tasks(
             )
         )
         lines.append("}")
+    cdef.append(f"void run_tasks({_RUN_ARGS});")
+    lines.extend(_run_tasks_lines(num_tasks))
 
     # -- sparse SCC-block Jacobian -----------------------------------------
     jac_rows: tuple[int, ...] = ()

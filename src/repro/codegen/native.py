@@ -5,9 +5,11 @@ Takes the executable translation unit emitted by
 machine with the system C compiler, and loads the shared object through
 cffi's ABI mode (fallback: ctypes) into plain Python callables with the
 exact signatures the runtime already uses — ``fn(t, y, p, out)`` writing
-into caller-owned float64 buffers.  Both FFI paths release the GIL for
-the duration of the C call, so :class:`~repro.runtime.ThreadedExecutor`
-gets true multi-core parallelism from native tasks.
+into caller-owned float64 buffers, and the task runner
+``run_tasks(ids, t, y, p, out, times)`` that evaluates a whole task list
+in one call.  Both FFI paths release the GIL for the duration of the C
+call, so :class:`~repro.runtime.ThreadedExecutor` gets true multi-core
+parallelism from native tasks.
 
 Build products are content-addressed: the cache key digests the C
 source, the compile flags, and the compiler's version line, so a model
@@ -167,7 +169,10 @@ class NativeModule:
 
     ``rhs`` / ``tasks[k]`` / ``jac_sparse`` all have the runtime's
     ``fn(t, y, p, out)`` shape and write into the caller's contiguous
-    float64 buffers.  ``native`` keeps the :class:`NativeSource` so
+    float64 buffers.  ``run_tasks(ids, t, y, p, out, times)`` is the
+    task runner: the tasks of the tuple ``ids`` in order, in one foreign
+    call (one GIL release), each one's wall time written to
+    ``times[id]``.  ``native`` keeps the :class:`NativeSource` so
     :class:`~repro.codegen.program.ProgramSpec` can ship the rebuild
     recipe to process-pool workers.
     """
@@ -179,6 +184,7 @@ class NativeModule:
         ffi_kind: str,
         rhs: Callable,
         tasks: list[Callable],
+        run_tasks: Callable,
         jac_sparse: Callable | None,
         start: Callable,
         params: Callable,
@@ -188,6 +194,7 @@ class NativeModule:
         self.ffi_kind = ffi_kind
         self.rhs = rhs
         self.tasks = tasks
+        self.run_tasks = run_tasks
         self.jac_sparse = jac_sparse
         self.start = start
         self.params = params
@@ -209,6 +216,26 @@ class NativeModule:
             f"<NativeModule {self.native.name}: {self.num_tasks} tasks, "
             f"ffi={self.ffi_kind}, {self.path.name}>"
         )
+
+
+#: id tuples a task runner keeps as C ``int`` arrays; a schedule has a
+#: handful, the cap bounds a pool that keeps reassigning
+_MAX_ID_ARRAYS = 1024
+
+
+def _id_arrays(convert: Callable) -> Callable:
+    """``ids -> convert(ids)``, cached per id tuple."""
+    cache: dict[tuple, Any] = {}
+
+    def get(ids: tuple):
+        arr = cache.get(ids)
+        if arr is None:
+            if len(cache) >= _MAX_ID_ARRAYS:
+                cache.clear()
+            arr = cache[ids] = convert(ids)
+        return arr
+
+    return get
 
 
 def _load_cffi(path: Path, native: NativeSource):
@@ -239,12 +266,29 @@ def _load_cffi(path: Path, native: NativeSource):
 
         return call
 
-    return lib, wrap, vec
+    def batch(cfn):
+        id_array = _id_arrays(lambda ids: ffi.new("int[]", ids))
+
+        def run(ids, t, y, p, out, times):
+            if ids:
+                cfn(
+                    t,
+                    from_buffer("double[]", y),
+                    from_buffer("double[]", p),
+                    from_buffer("double[]", out),
+                    id_array(ids),
+                    len(ids),
+                    from_buffer("double[]", times),
+                )
+
+        return run
+
+    return lib, wrap, vec, batch
 
 
 def _load_ctypes(path: Path, native: NativeSource):
     lib = ctypes.CDLL(str(path))
-    c_double = ctypes.c_double
+    c_double, c_int = ctypes.c_double, ctypes.c_int
     PD = ctypes.POINTER(c_double)
     exported = ["RHS", "START", "PARAMS"] + [
         f"task_{k}" for k in range(native.num_tasks)
@@ -258,9 +302,13 @@ def _load_ctypes(path: Path, native: NativeSource):
             fn.argtypes = [PD]
         else:
             fn.argtypes = [c_double, PD, PD, PD]
+    lib.run_tasks.restype = None
+    lib.run_tasks.argtypes = [
+        c_double, PD, PD, PD, ctypes.POINTER(c_int), c_int, PD,
+    ]
     for name in ("NUM_STATES", "NUM_PARTIALS", "NUM_TASKS"):
         fn = getattr(lib, name)
-        fn.restype = ctypes.c_int
+        fn.restype = c_int
         fn.argtypes = []
 
     def wrap(cfn):
@@ -283,7 +331,24 @@ def _load_ctypes(path: Path, native: NativeSource):
 
         return call
 
-    return lib, wrap, vec
+    def batch(cfn):
+        id_array = _id_arrays(lambda ids: (c_int * len(ids))(*ids))
+
+        def run(ids, t, y, p, out, times):
+            if ids:
+                cfn(
+                    t,
+                    y.ctypes.data_as(PD),
+                    p.ctypes.data_as(PD),
+                    out.ctypes.data_as(PD),
+                    id_array(ids),
+                    len(ids),
+                    times.ctypes.data_as(PD),
+                )
+
+        return run
+
+    return lib, wrap, vec, batch
 
 
 def load_native_module(path: Path, native: NativeSource) -> NativeModule:
@@ -301,10 +366,10 @@ def load_native_module(path: Path, native: NativeSource) -> NativeModule:
         try:
             if forced == "ctypes":
                 raise ImportError("ctypes forced via $REPRO_NATIVE_FFI")
-            lib, wrap, vec = _load_cffi(path, native)
+            lib, wrap, vec, batch = _load_cffi(path, native)
             ffi_kind = "cffi"
         except ImportError:
-            lib, wrap, vec = _load_ctypes(path, native)
+            lib, wrap, vec, batch = _load_ctypes(path, native)
             ffi_kind = "ctypes"
     except OSError as exc:
         raise NativeUnavailable(
@@ -329,6 +394,7 @@ def load_native_module(path: Path, native: NativeSource) -> NativeModule:
         tasks=[
             wrap(getattr(lib, f"task_{k}")) for k in range(native.num_tasks)
         ],
+        run_tasks=batch(lib.run_tasks),
         jac_sparse=jac_sparse,
         start=vec(lib.START, native.num_states),
         params=vec(lib.PARAMS, native.num_params),

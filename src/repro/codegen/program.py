@@ -27,7 +27,8 @@ fault-tolerance layer behave identically whichever backend is selected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from time import perf_counter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .transform import ArraySystem, OdeSystem
 from .verify import VerifyReport, verify_compilable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.faults import FaultInjector
     from .native import NativeModule
 
 __all__ = [
@@ -49,10 +51,58 @@ __all__ = [
     "GeneratedProgram",
     "ProgramSpec",
     "generate_program",
+    "run_each",
     "scalarize_reason",
 ]
 
 BACKENDS = ("python", "numpy", "c")
+
+
+#: ``runner(ids, t, y, p, res, times)``: evaluate the tasks of the tuple
+#: ``ids`` in order into ``res`` and write each one's wall time, in
+#: seconds, to ``times[id]`` — the one call every executor makes
+TaskRunner = Callable[..., None]
+
+
+def run_each(tasks: Sequence[Callable]) -> TaskRunner:
+    """The task runner over per-task callables: one Python call per task.
+
+    Serves the Python backend and any fault-injected task list.  A task's
+    exception propagates unchanged, tagged with that task's id as
+    ``failed_task``, so the pool's worker side can tell which of ``ids``
+    completed before it.
+    """
+
+    def run(ids, t, y, p, res, times) -> None:
+        tid = None
+        try:
+            for tid in ids:
+                started = perf_counter()
+                tasks[tid](t, y, p, res)
+                times[tid] = perf_counter() - started
+        except BaseException as exc:
+            exc.failed_task = tid
+            raise
+
+    return run
+
+
+def _runner(
+    native: "NativeModule | None",
+    tasks: Sequence[Callable],
+    slots: Sequence[Sequence[int]],
+    injector: "FaultInjector | None",
+) -> TaskRunner:
+    """The one rule for which task runner a program gets.
+
+    Native programs run a whole task list in one ``run_tasks`` call;
+    Python programs, and any program under a fault ``injector`` (which
+    wraps each of ``tasks``, given its output ``slots``), take
+    :func:`run_each`.
+    """
+    if injector is not None:
+        return run_each(injector.wrap(tasks, slots))
+    return native.run_tasks if native is not None else run_each(tasks)
 
 
 def scalarize_reason(
@@ -107,43 +157,48 @@ class ProgramSpec:
             self.source, self.num_states, self.num_partials, name=self.name
         )
 
-    def build_tasks(self) -> list[Callable]:
-        """The per-task functions, rebuilt in the calling interpreter.
+    def build_runner(self, injector: "FaultInjector | None" = None) -> TaskRunner:
+        """The task runner (:meth:`GeneratedProgram.task_runner`), rebuilt
+        in the calling interpreter."""
+        native = self._build_native()
+        tasks = native.tasks if native is not None else self.build_module().tasks
+        return _runner(native, tasks, self.task_slots, injector)
 
-        Prefers the native module (dlopen of the parent's build product,
-        or a rebuild through the shipped cache root); degrades silently
-        to the Python module when the worker's machine lacks a toolchain
+    def _build_native(self) -> "NativeModule | None":
+        """The native module, or None for a Python program.
+
+        A dlopen of the parent's build product, or a rebuild through the
+        shipped cache root; None too when the worker's machine lacks a
+        toolchain, and the caller degrades silently to the Python module
         — the numerics are identical either way.
         """
-        if self.native_source is not None:
-            from pathlib import Path
+        if self.native_source is None:
+            return None
+        from pathlib import Path
 
-            from .native import (
-                NativeCache,
-                NativeUnavailable,
-                build_native_module,
-                load_native_module,
+        from .native import (
+            NativeCache,
+            NativeUnavailable,
+            build_native_module,
+            load_native_module,
+        )
+
+        try:
+            if self.native_so_path is not None and (
+                Path(self.native_so_path).exists()
+            ):
+                return load_native_module(
+                    Path(self.native_so_path), self.native_source
+                )
+            cache = (
+                NativeCache(self.native_cache_root)
+                if self.native_cache_root is not None
+                else None
             )
-
-            try:
-                if self.native_so_path is not None and (
-                    Path(self.native_so_path).exists()
-                ):
-                    return load_native_module(
-                        Path(self.native_so_path), self.native_source
-                    ).tasks
-                cache = (
-                    NativeCache(self.native_cache_root)
-                    if self.native_cache_root is not None
-                    else None
-                )
-                module, _ = build_native_module(
-                    self.native_source, cache=cache
-                )
-                return module.tasks
-            except NativeUnavailable:
-                pass
-        return self.build_module().tasks
+            module, _ = build_native_module(self.native_source, cache=cache)
+            return module
+        except NativeUnavailable:
+            return None
 
 
 @dataclass
@@ -377,6 +432,18 @@ class GeneratedProgram:
             return self.native_module.tasks
         return self.module.tasks
 
+    def task_runner(self, injector: "FaultInjector | None" = None) -> TaskRunner:
+        """The one call the executors make to evaluate a task list.
+
+        Native programs run the whole list in one ``run_tasks`` call;
+        Python programs, and any program under a fault ``injector`` (which
+        wraps each task), take :func:`run_each`.
+        """
+        return _runner(
+            self.native_module, self.task_callables(), self._all_task_slots(),
+            injector,
+        )
+
     def eval_task(
         self, task_id: int, t: float, y: np.ndarray, p: np.ndarray,
         res: np.ndarray,
@@ -398,9 +465,7 @@ class GeneratedProgram:
             num_states=self.num_states,
             num_partials=self.num_partials,
             num_tasks=self.num_tasks,
-            task_slots=tuple(
-                self.task_output_slots(tid) for tid in range(self.num_tasks)
-            ),
+            task_slots=self._all_task_slots(),
             native_source=None if native is None else native.native,
             native_so_path=None if native is None else str(native.path),
             native_cache_root=(
@@ -444,6 +509,11 @@ class GeneratedProgram:
             else:
                 slots.append(partial_index[target])
         return tuple(slots)
+
+    def _all_task_slots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            self.task_output_slots(tid) for tid in range(self.num_tasks)
+        )
 
     def __repr__(self) -> str:
         return (

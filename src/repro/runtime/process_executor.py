@@ -25,7 +25,8 @@ show it must be for object-level parallelism to pay off:
   ``exec`` do not pickle), so each worker re-creates the generated module
   from its :class:`~repro.codegen.program.ProgramSpec` — source text plus
   layout integers — in its own interpreter at startup, and builds its own
-  :class:`~repro.runtime.faults.FaultInjector` from the pickled plan.
+  :class:`~repro.runtime.faults.FaultInjector` from the pickled plan and
+  its own task runner (:meth:`ProgramSpec.build_runner`).
 
 Liveness
 --------
@@ -227,7 +228,6 @@ def _worker_main(
     threading.Thread(target=beat_forever, daemon=True,
                      name=f"heartbeat-{worker_id}").start()
 
-    tasks = spec.build_tasks()
     injector = fired = None
     if fault_plan:
         # Worker-local burn-out counters: process pools cannot share the
@@ -236,7 +236,7 @@ def _worker_main(
         # carried home in the reply.
         fired = RuntimeEvents()
         injector = FaultInjector(fault_plan, events=fired)
-        tasks = injector.wrap(tasks, spec.task_slots)
+    run = spec.build_runner(injector)
     bufs = _Buffers(blocks.y, blocks.p, blocks.res, blocks.kst, blocks.sres)
 
     while True:
@@ -251,7 +251,7 @@ def _worker_main(
             injector.round_index = job.round_index
         try:
             reply = serve(
-                job, worker_id, tasks, blocks.times, bufs,
+                job, worker_id, run, blocks.times, bufs,
                 _ShmBarrier(blocks, worker_id, job) if job.stop else None,
             )
         except WorkerKill:

@@ -200,17 +200,18 @@ class SerialExecutor:
         events: RuntimeEvents | None = None,
     ) -> None:
         self.program = program
-        self._levels = dependency_levels(program.task_graph)
+        #: every task, level after level: one runner call per round
+        self._order = tuple(
+            tid for level in dependency_levels(program.task_graph)
+            for tid in level
+        )
         self.last_task_times = np.zeros(program.num_tasks)
         #: rounds accumulated in last_task_times (stage chunks accumulate
         #: one round per stage; scheduler feeds divide by this)
         self.last_times_rounds = 1
         self.events = events
         self.injector = injector
-        self._tasks = (
-            injector.wrap_tasks(program) if injector is not None
-            else program.task_callables()
-        )
+        self._run = program.task_runner(injector)
 
     def evaluate(
         self, t: float, y: np.ndarray, p: np.ndarray, res: np.ndarray,
@@ -219,18 +220,13 @@ class SerialExecutor:
         """Evaluate every task in dependency order (``schedule`` is
         accepted for executor-interface parity and ignored: one processor
         has nothing to balance)."""
-        tasks = self._tasks
         times = self.last_task_times
         # Clear stale measurements so an aborted evaluation can never leave
         # the semi-dynamic LPT scheduling from a mix of rounds.
         times[:] = 0.0
         if self.injector is not None:
             self.injector.begin_round()
-        for level in self._levels:
-            for tid in level:
-                start = time.perf_counter()
-                tasks[tid](t, y, p, res)
-                times[tid] = time.perf_counter() - start
+        self._run(self._order, t, y, p, res, times)
 
     def evaluate_stages(
         self, t: float, y: np.ndarray, p: np.ndarray, k: np.ndarray,
@@ -317,15 +313,18 @@ class _Buffers(NamedTuple):
     stage_res: np.ndarray | None = None
 
 
-def serve(job: _Job, worker_id: int, tasks, times: np.ndarray,
+def serve(job: _Job, worker_id: int, run, times: np.ndarray,
           bufs: _Buffers, barrier) -> _Reply:
     """The worker side of the protocol: run one job, return its reply.
 
     Both transports run this same function — as the thread target's body
-    and inside the worker process's main loop — and it calls the task
-    callables directly; the transport is crossed once per job, never per
-    task.  ``barrier`` has ``threading.Barrier``'s ``wait(timeout)`` and
-    ``abort()`` and is only used by K-stage chunks.
+    and inside the worker process's main loop.  It makes one task-runner
+    call (``run(ids, t, y, p, res, times)``, see
+    :meth:`~repro.codegen.program.GeneratedProgram.task_runner`) per
+    dependency level: the transport is crossed once per job, and native
+    tasks cross the FFI once per level, never per task.  ``barrier`` has
+    ``threading.Barrier``'s ``wait(timeout)`` and ``abort()`` and is only
+    used by K-stage chunks.
 
     In a K-stage chunk every participating worker advances the stage
     state itself and meets the others at ``barrier`` after each
@@ -334,25 +333,24 @@ def serve(job: _Job, worker_id: int, tasks, times: np.ndarray,
     ``matmul`` sees exactly the serial solver's operand layout
     (bit-identity).  Any fault aborts the barrier, so the whole pool
     bails out in one phase and the supervisor re-runs the chunk through
-    the hardened per-stage path.
+    the hardened per-stage path.  Task times are written per stage into
+    a private ``laps`` row and added into ``times`` when the chunk ends,
+    so a chunk accumulates one round per stage.
 
     :class:`WorkerKill` (a simulated crash) propagates: the caller must
     die without a farewell message — exactly the failure the liveness
     check and the bounded barrier exist to survive.
     """
-    completed: list[int] = []
+    completed: tuple = ()
     error: BaseException | None = None
     failed_tid: int | None = None
-    tid = None
+    ids: tuple = ()  # the task list being run, () between runner calls
     try:
         y, p = bufs.y, bufs.p
         if not job.stop:
-            t, res = job.t, bufs.res
-            for tid in job.tasks:
-                started = time.perf_counter()
-                tasks[tid](t, y, p, res)
-                times[tid] = time.perf_counter() - started
-                completed.append(tid)
+            ids = job.tasks
+            run(ids, job.t, y, p, bufs.res, times)
+            completed = ids
         else:
             n = y.shape[0]
             c = np.asarray(job.c, dtype=np.float64)
@@ -361,18 +359,18 @@ def serve(job: _Job, worker_id: int, tasks, times: np.ndarray,
             kk = np.empty((len(c), n), dtype=np.float64)
             kk[:job.start] = bufs.k[:job.start, :n]
             y_stage = np.empty(n, dtype=np.float64)
+            laps = np.zeros((job.stop - job.start, times.shape[0]))
             for i in range(job.start, job.stop):
                 _stage_state(kk, i, a_rows, job.h_dir, y, y_stage)
                 ti = job.t + c[i] * job.h_dir
                 row = bufs.stage_res[i - job.start]
-                for level_tasks in job.tasks:
-                    for tid in level_tasks:
-                        started = time.perf_counter()
-                        tasks[tid](ti, y_stage, p, row)
-                        times[tid] += time.perf_counter() - started
-                    tid = None
+                for ids in job.tasks:
+                    run(ids, ti, y_stage, p, row, laps[i - job.start])
+                    ids = ()
                     barrier.wait(job.timeout)
                 kk[i] = row[:n]
+            mine = [tid for level in job.tasks for tid in level]
+            times[mine] += laps[:, mine].sum(axis=0)
     except WorkerKill:
         raise
     except threading.BrokenBarrierError as exc:
@@ -381,10 +379,14 @@ def serve(job: _Job, worker_id: int, tasks, times: np.ndarray,
         if job.stop:
             barrier.abort()
         error = exc
-        failed_tid = tid
+        # A per-task runner names the task that raised; a failing batch
+        # call is charged to the first task of its list.
+        failed_tid = getattr(exc, "failed_task", ids[0] if ids else None)
+        if not job.stop and failed_tid in ids:
+            completed = ids[:ids.index(failed_tid)]
     # Always reply — a swallowed failure here would stall the supervisor
     # until the barrier timeout.
-    return _Reply(job.epoch, worker_id, tuple(completed), error, failed_tid)
+    return _Reply(job.epoch, worker_id, completed, error, failed_tid)
 
 
 # -- the pool core ----------------------------------------------------------------
@@ -462,11 +464,11 @@ class _PoolExecutor:
         self.min_workers = min_workers
         self.join_timeout = join_timeout
 
-        #: supervisor-side task functions (inline fallback / degraded mode)
-        self._tasks = (
-            injector.wrap_tasks(program) if injector is not None
-            else list(program.task_callables())
-        )
+        #: the LPT schedule of rounds that are not handed one
+        self._default_schedule = lpt_schedule(program.task_graph, num_workers)
+        #: the task runner: the workers' and the supervisor's own (inline
+        #: fallback / degraded mode)
+        self._run = program.task_runner(injector)
         self._slots = [
             np.asarray(program.task_output_slots(tid), dtype=int)
             for tid in range(program.num_tasks)
@@ -543,9 +545,8 @@ class _PoolExecutor:
         failure here is final.  ``cause`` is what drove the task off its
         workers, kept when the inline run fails less informatively."""
         try:
-            start = time.perf_counter()
-            self._tasks[tid](t, bufs.y, bufs.p, bufs.res)
-            self._transport.times[tid] = time.perf_counter() - start
+            self._run((tid,), t, bufs.y, bufs.p, bufs.res,
+                      self._transport.times)
             if self.validate_outputs:
                 self._validate_task_outputs(tid, bufs.res)
         except _NonFiniteOutput as exc:
@@ -731,7 +732,7 @@ class _PoolExecutor:
         if self._closing:
             raise RuntimeError("executor is closed")
         if schedule is None:
-            schedule = lpt_schedule(self.program.task_graph, self.num_workers)
+            schedule = self._default_schedule
         if schedule.num_workers != self.num_workers:
             raise ValueError(
                 f"schedule is for {schedule.num_workers} workers, pool has "
@@ -987,8 +988,8 @@ class _ThreadTransport:
     #: a chunk lives in ordinary memory, so any tableau fits
     max_stages = sys.maxsize
 
-    def __init__(self, num_workers: int, tasks, times: np.ndarray) -> None:
-        self.tasks = tasks
+    def __init__(self, num_workers: int, run, times: np.ndarray) -> None:
+        self.run = run
         self.times = times
         self.zombies: list[int] = []
         self._inboxes = [queue.Queue() for _ in range(num_workers)]
@@ -1012,7 +1013,7 @@ class _ThreadTransport:
                 return
             job, bufs, barrier = item
             try:
-                reply = serve(job, worker_id, self.tasks, self.times, bufs,
+                reply = serve(job, worker_id, self.run, self.times, bufs,
                               barrier)
             except WorkerKill:
                 return  # simulated crash: die silently
@@ -1089,7 +1090,7 @@ class ThreadedExecutor(_PoolExecutor):
                  **options) -> None:
         super().__init__(program, num_workers, **options)
         self._transport = _ThreadTransport(
-            num_workers, self._tasks, self.last_task_times
+            num_workers, self._run, self.last_task_times
         )
 
     @property

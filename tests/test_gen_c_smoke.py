@@ -4,7 +4,8 @@ The textual back ends (``repro codegen -t c``) used to rot silently —
 nothing ever compiled their output.  Every printed C source for all four
 example apps (serial and parallel modes, with the analytic Jacobian) and
 every native translation unit must now compile warning-free under
-``cc -c -Wall -Werror``.  Skipped with a visible reason when the machine
+``cc -c -Wall -Werror``, and every native unit exports the ``run_tasks``
+batch entry the executors call.  Skipped with a visible reason when the machine
 has no C compiler.
 """
 
@@ -20,6 +21,7 @@ from repro.apps.powerplant import build_powerplant
 from repro.apps.servo import build_servo
 from repro.codegen import generate_c, generate_c_tasks, make_ode_system
 from repro.codegen.native import find_compiler
+from repro.codegen.transform import OdeSystem
 
 HAS_CC = find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -45,6 +47,12 @@ def systems():
         return cache[app]
 
     return get
+
+
+_RUN_TASKS = (
+    "void run_tasks(double t, const double *yin, const double *p, "
+    "double *yout, const int *ids, int n, double *times)"
+)
 
 
 def _compile_smoke(source: str, tmp_path, tag: str) -> None:
@@ -74,7 +82,19 @@ def test_textual_c_source_compiles(systems, tmp_path, app, mode):
 @pytest.mark.parametrize("app", APPS)
 def test_native_translation_unit_compiles(systems, tmp_path, app):
     native = generate_c_tasks(systems(app), jacobian=True)
+    assert f"{_RUN_TASKS}\n{{" in native.source
+    assert f"{_RUN_TASKS};" in native.cdef
     _compile_smoke(native.source, tmp_path, f"{app}_native")
+
+
+@needs_cc
+def test_native_unit_without_tasks_compiles(tmp_path):
+    """No states means no tasks: ``run_tasks`` is then an empty body."""
+    empty = OdeSystem("empty", "t", (), (), (), (), ())
+    native = generate_c_tasks(empty)
+    assert native.num_tasks == 0
+    assert f"{_RUN_TASKS}\n{{" in native.source
+    _compile_smoke(native.source, tmp_path, "empty_native")
 
 
 @needs_cc

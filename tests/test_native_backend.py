@@ -306,6 +306,10 @@ class TestNativeCache:
             "void RHS(double t, const double *yin, const double *p, "
             "double *yout)",
             f"{{ (void)t; (void)p; yout[0] = yin[0] * {tag}.0; }}",
+            "void run_tasks(double t, const double *yin, const double *p, "
+            "double *yout, const int *ids, int n, double *times)",
+            "{ (void)t; (void)yin; (void)p; (void)yout; (void)ids; (void)n;"
+            " (void)times; }",
             "void START(double *y0) { y0[0] = 1.0; }",
             "void PARAMS(double *pout) { (void)pout; }",
         ])
@@ -315,6 +319,8 @@ class TestNativeCache:
             "int NUM_TASKS(void);",
             "void RHS(double t, const double *yin, const double *p, "
             "double *yout);",
+            "void run_tasks(double t, const double *yin, const double *p, "
+            "double *yout, const int *ids, int n, double *times);",
             "void START(double *y0);",
             "void PARAMS(double *pout);",
         ])
@@ -490,12 +496,12 @@ class TestPipelineIntegration:
             native_so_path=str(tmp_path / "gone.so"),
             native_cache_root=str(tmp_path / "fresh-cache"),
         )
-        tasks = spec.build_tasks()
-        assert len(tasks) == c.num_tasks
-        res = c.results_buffer()
-        want = c.results_buffer()
-        tasks[0](0.1, c.start_vector(), c.param_vector(), res)
-        c.task_callables()[0](
-            0.1, c.start_vector(), c.param_vector(), want
-        )
+        run = spec.build_runner()
+        order = tuple(range(c.num_tasks))
+        res, want = c.results_buffer(), c.results_buffer()
+        times = np.zeros(c.num_tasks)
+        run(order, 0.1, c.start_vector(), c.param_vector(), res, times)
+        assert (tmp_path / "fresh-cache").is_dir()  # rebuilt, not loaded
+        c.task_runner()(order, 0.1, c.start_vector(), c.param_vector(),
+                        want, times)
         assert np.array_equal(res, want)

@@ -322,15 +322,15 @@ class TestRebuildSpec:
             program.task_output_slots(tid)
             for tid in range(program.num_tasks)
         )
-        tasks = spec.build_tasks()
-        assert len(tasks) == program.num_tasks
+        run = spec.build_runner()
         y = program.start_vector()
         p = program.param_vector()
         res = program.results_buffer()
+        times = np.zeros(program.num_tasks)
         ref = _serial_reference(program, 0.0, y, p)
         from repro.runtime import dependency_levels
 
         for level in dependency_levels(program.task_graph):
-            for tid in level:
-                tasks[tid](0.0, y, p, res)
+            run(tuple(level), 0.0, y, p, res, times)
         np.testing.assert_array_equal(res, ref)
+        assert np.all(times > 0)

@@ -294,7 +294,7 @@ class FakeTransport:
     max_stages = 8
 
     def __init__(self, executor, script):
-        self.tasks = list(executor.program.task_callables())
+        self.run = executor.program.task_runner()
         self.times = executor.last_task_times
         self.script = script
         self.dead: set[int] = set()         # alive() is False
@@ -321,7 +321,7 @@ class FakeTransport:
         if worker in self.unreachable:
             return False
         self.sent.append((worker, job))
-        reply = serve(job, worker, self.tasks, self.times, self.bufs,
+        reply = serve(job, worker, self.run, self.times, self.bufs,
                       _OpenBarrier())
         self._arrived += [
             (worker, r) for r in self.script(self, worker, job, reply)

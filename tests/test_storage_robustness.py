@@ -10,6 +10,8 @@ import os
 import numpy as np
 import pytest
 
+import repro.compiler.cache as cache_module
+from repro.codegen.native import NativeCache, find_compiler
 from repro.compiler import (
     ArtifactCache,
     CompileOptions,
@@ -375,6 +377,48 @@ class TestMalformedArtifacts:
         cache.drop_memory()
         assert cache.load(ctx.cache_key) is None
         assert cache.quarantined == 1
+
+    @pytest.mark.skipif(find_compiler() is None,
+                        reason="no C compiler on PATH")
+    def test_native_unit_without_run_tasks_never_reaches_the_loader(
+        self, tmp_path, monkeypatch
+    ):
+        """A backend="c" artifact from before the native unit exported
+        run_tasks (format 3) sits under another key, and its bytes under
+        the current key are quarantined: the compile rebuilds a unit that
+        has the entry instead of failing to bind it."""
+        root = tmp_path / "cache"
+        native_cache = NativeCache(tmp_path / "native")
+
+        def compile_c(cache):
+            return compile_context(source=_SRC, options=CompileOptions(
+                backend="c", cache=cache, native_cache=native_cache))
+
+        ctx = compile_c(ArtifactCache(root))
+        artifact = root / f"{ctx.cache_key}.json"
+        obj = json.loads(artifact.read_text())
+        unit = obj["native_source"]
+        unit["cdef"] = "\n".join(line for line in unit["cdef"].splitlines()
+                                 if "run_tasks" not in line)
+        unit["source"] = unit["source"].replace("run_tasks", "old_entry")
+        obj["format"] = 3
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "ARTIFACT_FORMAT", 3)
+            old_key = artifact_key(ctx.model_hash, ctx.options)
+        assert old_key != ctx.cache_key
+        stale = json.dumps(obj)
+        (root / f"{old_key}.json").write_text(stale)
+        artifact.write_text(stale)
+
+        events = RuntimeEvents()
+        again = compile_c(ArtifactCache(root, events=events))
+        assert not again.cache_hit
+        assert events.count("cache_quarantined") == 1
+        assert (root / f"{old_key}.json").exists()  # never read
+        program = again.program
+        assert program.backend == "c"
+        assert program.task_runner() is program.native_module.run_tasks
+        assert compile_c(ArtifactCache(root)).cache_hit
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX-only flock")
