@@ -2,8 +2,8 @@
 
 Measures what ``backend="c"`` (this PR's tentpole) actually buys:
 
-1. **RHS throughput** on the bearing apps — the cffi/ctypes-loaded
-   native ``RHS`` vs the generated pure-Python and NumPy back ends,
+1. **RHS throughput** on the bearing apps — the native ``RHS``, called
+   through the ``_native`` glue extension, vs the generated pure-Python and NumPy back ends,
    single-trajectory evaluations per second.
 2. **End-to-end integration** — a fixed-step rk4 solve of the 3-D
    bearing driven by the native RHS vs the Python one.
@@ -88,7 +88,7 @@ def bench_rhs_throughput(app: str, build, reps: int) -> dict:
     times = {}
     for backend, program in programs.items():
         f = program.make_rhs()
-        f(0.0, y)  # warm (dispatch, cffi buffers)
+        f(0.0, y)  # warm (dispatch, first-call caches)
         times[backend] = _time(lambda f=f: f(0.0, y), reps)
     return {
         "app": app,

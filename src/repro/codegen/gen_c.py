@@ -62,14 +62,12 @@ class NativeSource:
     Everything here is plain strings/ints/tuples: the object pickles for
     :class:`~repro.codegen.program.ProgramSpec` (process-pool workers
     rebuild native modules from it) and serialises into the artifact
-    cache.  ``cdef`` is the cffi declaration block matching ``source``'s
-    exported symbols; ``jac_rows``/``jac_cols`` record the sparse Jacobian
+    cache.  ``jac_rows``/``jac_cols`` record the sparse Jacobian
     pattern (row-major within each SCC block) so the Python wrapper can
     scatter values without calling back into C.
     """
 
     source: str
-    cdef: str
     name: str
     num_states: int
     num_partials: int
@@ -417,12 +415,6 @@ def generate_c_tasks(
         f"int NUM_TASKS(void) {{ return {num_tasks}; }}",
         "",
     ]
-    cdef: list[str] = [
-        "int NUM_STATES(void);",
-        "int NUM_PARTIALS(void);",
-        "int NUM_TASKS(void);",
-        f"void RHS({_ARGS});",
-    ]
     num_cse = 0
 
     # -- serial RHS (global CSE over the full system) ----------------------
@@ -447,7 +439,6 @@ def generate_c_tasks(
     num_cse += sum(r.num_extracted for r in results)
     for body, result in zip(plan.bodies, results):
         fn = f"task_{body.task_id}"
-        cdef.append(f"void {fn}({_ARGS});")
         lines.append("")
         lines.append(f"/* {body.name} */")
         lines.append(f"void {fn}({_ARGS})")
@@ -463,7 +454,6 @@ def generate_c_tasks(
             )
         )
         lines.append("}")
-    cdef.append(f"void run_tasks({_RUN_ARGS});")
     lines.extend(_run_tasks_lines(num_tasks))
 
     # -- sparse SCC-block Jacobian -----------------------------------------
@@ -482,11 +472,6 @@ def generate_c_tasks(
         jac_rows = tuple(i for i, _, _ in entries)
         jac_cols = tuple(j for _, j, _ in entries)
         nnz = len(entries)
-        cdef.append("void JAC(double t, const double *yin, "
-                    "const double *p, double *vals);")
-        cdef.append("int JAC_NNZ(void);")
-        cdef.append("void JAC_PATTERN(int *rows, int *cols);")
-
         names = NameTable(reserved=["t", "yin", "p", "vals"])
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="jcse",
@@ -535,8 +520,6 @@ def generate_c_tasks(
         lines.append("}")
 
     # -- start values and parameters ---------------------------------------
-    cdef.append("void START(double *y0);")
-    cdef.append("void PARAMS(double *pout);")
     lines.append("")
     lines.append("void START(double *y0)")
     lines.append("{")
@@ -560,7 +543,6 @@ def generate_c_tasks(
 
     return NativeSource(
         source="\n".join(lines),
-        cdef="\n".join(cdef),
         name=system.name,
         num_states=n,
         num_partials=num_partials,

@@ -2,14 +2,19 @@
 
 Takes the executable translation unit emitted by
 :func:`repro.codegen.gen_c.generate_c_tasks`, compiles it once per
-machine with the system C compiler, and loads the shared object through
-cffi's ABI mode (fallback: ctypes) into plain Python callables with the
-exact signatures the runtime already uses — ``fn(t, y, p, out)`` writing
-into caller-owned float64 buffers, and the task runner
-``run_tasks(ids, t, y, p, out, times)`` that evaluates a whole task list
-in one call.  Both FFI paths release the GIL for the duration of the C
-call, so :class:`~repro.runtime.ThreadedExecutor` gets true multi-core
-parallelism from native tasks.
+machine with the system C compiler, and calls it through one
+hand-written, model-independent CPython extension, ``_native.c`` (the
+*glue*).  The glue opens a unit with ``dlopen`` and hands back plain Python
+callables with the exact signatures the runtime already uses —
+``fn(t, y, p, out)`` writing into caller-owned float64 buffers, and the
+task runner ``run_tasks(ids, t, y, p, out, times)`` that evaluates a
+whole task list in one call.  Each is one ``METH_FASTCALL`` call that
+checks every buffer and releases the GIL around the C code, so
+:class:`~repro.runtime.ThreadedExecutor` gets true multi-core
+parallelism from native tasks.  The generated units never include
+``<Python.h>``; the glue is built once per (machine, toolchain,
+interpreter) into ``glue/`` under the cache and imported once per
+process.
 
 Build products are content-addressed: the cache key digests the C
 source, the compile flags, and the compiler's version line, so a model
@@ -28,14 +33,16 @@ call the same libm; CPython's ``math`` does too).
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
+import sysconfig
 import threading
 import time
 from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -67,7 +74,7 @@ class NativeUnavailable(RuntimeError):
     """The native backend cannot run here; carries a structured reason.
 
     ``reason`` is a short machine-readable code (``no_compiler``,
-    ``compile_failed``, ``load_failed``) surfaced as the
+    ``no_python_headers``, ``compile_failed``, ``load_failed``) surfaced as the
     ``native_unavailable`` metric so callers fall back to the Python
     backend with a diagnostic instead of a traceback.
     """
@@ -152,52 +159,155 @@ def native_key(native: NativeSource) -> str | None:
     probe = _probe_toolchain()
     if probe["cc"] is None:
         return None
+    return _digest(native.source, "\n".join(CFLAGS), probe["version"])
+
+
+def _digest(*parts: str) -> str:
     h = hashlib.sha256()
-    for part in (native.source, "\n".join(CFLAGS), probe["version"]):
+    for part in parts:
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()
 
 
+def _compile(cc: list[str], src: Path, out: Path, *extra: str) -> None:
+    """``cc CFLAGS -o out src extra...``, or :class:`NativeUnavailable`."""
+    cmd = [*cc, *CFLAGS, "-o", str(out), str(src), *extra]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise NativeUnavailable(
+            "compile_failed", f"native build failed: {exc}"
+        ) from exc
+    if proc.returncode != 0:
+        tail = (proc.stderr or "").strip().splitlines()[-8:]
+        raise NativeUnavailable(
+            "compile_failed",
+            f"{' '.join(cmd)} failed (exit {proc.returncode}): "
+            + " | ".join(tail),
+        )
+
+
 # ---------------------------------------------------------------------------
-# Loading (cffi preferred, ctypes fallback; both release the GIL)
+# The glue: one hand-written CPython extension that calls every unit
 # ---------------------------------------------------------------------------
+
+#: the glue's source; the only C here that includes ``<Python.h>``
+GLUE_SOURCE = Path(__file__).with_name("_native.c")
+
+_glue_lock = threading.Lock()
+_glue: ModuleType | None = None
+
+
+def _python_include() -> str:
+    return sysconfig.get_paths()["include"]
+
+
+def _build_glue(cache_root: Path) -> Path:
+    """Build the glue into ``cache_root/glue`` unless it is already there.
+
+    Keyed by the glue source, the flags, the compiler's version line, the
+    interpreter's ABI tag and the header directory.  It lives in its own
+    subdirectory so the cache's ``*.so`` eviction never reaches it.
+    """
+    probe = _probe_toolchain()
+    if probe["cc"] is None:
+        raise NativeUnavailable("no_compiler", probe["reason"])
+    include = _python_include()
+    key = _digest(
+        GLUE_SOURCE.read_text(), "\n".join(CFLAGS), probe["version"],
+        str(sysconfig.get_config_var("SOABI")), include,
+    )
+    target = cache_root / "glue" / f"_native-{key[:16]}.so"
+    if not target.exists():
+        if not (Path(include) / "Python.h").is_file():
+            raise NativeUnavailable(
+                "no_python_headers",
+                f"Python.h not found under {include}: the native backend "
+                f"needs the Python development headers",
+            )
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            _compile(probe["cc"], GLUE_SOURCE, tmp, f"-I{include}", "-ldl")
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise NativeUnavailable(
+                "compile_failed", f"glue build failed: {exc}"
+            ) from exc
+        finally:
+            tmp.unlink(missing_ok=True)
+    return target
+
+
+def _load_glue(cache_root: Path, shipped: str | None = None) -> ModuleType:
+    """The glue module, imported once per process.
+
+    ``shipped`` is the path a parent process loaded it from; a worker
+    imports that file when it exists, and otherwise builds (or finds) its
+    own under ``cache_root``.
+    """
+    global _glue
+    with _glue_lock:
+        if _glue is None:
+            if shipped is not None and Path(shipped).exists():
+                path = Path(shipped)
+            else:
+                path = _build_glue(cache_root)
+            spec = importlib.util.spec_from_file_location(
+                "repro.codegen._native", path
+            )
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError as exc:
+                raise NativeUnavailable(
+                    "load_failed", f"cannot load the glue {path}: {exc}"
+                ) from exc
+            _glue = module
+        return _glue
 
 
 class NativeModule:
-    """A loaded native translation unit: plain Python callables over C.
+    """A loaded native translation unit, called through the glue.
 
-    ``rhs`` / ``tasks[k]`` / ``jac_sparse`` all have the runtime's
-    ``fn(t, y, p, out)`` shape and write into the caller's contiguous
-    float64 buffers.  ``run_tasks(ids, t, y, p, out, times)`` is the
-    task runner: the tasks of the tuple ``ids`` in order, in one foreign
-    call (one GIL release), each one's wall time written to
-    ``times[id]``.  ``native`` keeps the :class:`NativeSource` so
-    :class:`~repro.codegen.program.ProgramSpec` can ship the rebuild
-    recipe to process-pool workers.
+    ``rhs`` and ``jac_sparse`` have the runtime's ``fn(t, y, p, out)``
+    shape and write into the caller's contiguous float64 buffers.
+    ``run_tasks(ids, t, y, p, out, times)`` is the task runner: the tasks
+    of the tuple ``ids`` in order, in one C call (one GIL release), each
+    one's wall time written to ``times[id]``.  ``tasks[k]`` is a one-task
+    ``run_tasks`` call.  Every call checks its buffers and raises
+    ``ValueError`` naming a wrong one.  ``native`` keeps the
+    :class:`NativeSource` and ``glue_path`` the glue's file, so
+    :class:`~repro.codegen.program.ProgramSpec` can ship both to
+    process-pool workers.
     """
 
     def __init__(
-        self,
-        path: Path,
-        native: NativeSource,
-        ffi_kind: str,
-        rhs: Callable,
-        tasks: list[Callable],
-        run_tasks: Callable,
-        jac_sparse: Callable | None,
-        start: Callable,
-        params: Callable,
+        self, path: Path, native: NativeSource, glue: ModuleType
     ) -> None:
         self.path = path
         self.native = native
-        self.ffi_kind = ffi_kind
-        self.rhs = rhs
-        self.tasks = tasks
-        self.run_tasks = run_tasks
-        self.jac_sparse = jac_sparse
-        self.start = start
-        self.params = params
+        self.glue_path = Path(glue.__file__)
+        self._unit = glue.open(
+            str(path), native.num_states, native.num_partials,
+            native.num_tasks, native.num_params,
+            native.jac_nnz if native.has_jacobian else -1,
+        )
+        self.rhs = self._unit.rhs
+        self.run_tasks = self._unit.run_tasks
+        self.jac_sparse = self._unit.jac if native.has_jacobian else None
+        times = np.empty(native.num_tasks)
+        self.tasks = [
+            _one_task(self.run_tasks, k, times)
+            for k in range(native.num_tasks)
+        ]
+
+    def start(self) -> np.ndarray:
+        return self._unit.start(np.empty(self.num_states))
+
+    def params(self) -> np.ndarray:
+        return self._unit.params(np.empty(self.native.num_params))
 
     @property
     def num_states(self) -> int:
@@ -214,191 +324,35 @@ class NativeModule:
     def __repr__(self) -> str:
         return (
             f"<NativeModule {self.native.name}: {self.num_tasks} tasks, "
-            f"ffi={self.ffi_kind}, {self.path.name}>"
+            f"{self.path.name}>"
         )
 
 
-#: id tuples a task runner keeps as C ``int`` arrays; a schedule has a
-#: handful, the cap bounds a pool that keeps reassigning
-_MAX_ID_ARRAYS = 1024
+def _one_task(run_tasks: Callable, k: int, times: np.ndarray) -> Callable:
+    """Task ``k`` as ``fn(t, y, p, out)``; its time goes to scratch."""
+    ids = (k,)
+
+    def task(t, y, p, out):
+        run_tasks(ids, t, y, p, out, times)
+
+    return task
 
 
-def _id_arrays(convert: Callable) -> Callable:
-    """``ids -> convert(ids)``, cached per id tuple."""
-    cache: dict[tuple, Any] = {}
+def load_native_module(
+    path: Path, native: NativeSource, glue: str | None = None
+) -> NativeModule:
+    """``dlopen`` a built object through the glue.
 
-    def get(ids: tuple):
-        arr = cache.get(ids)
-        if arr is None:
-            if len(cache) >= _MAX_ID_ARRAYS:
-                cache.clear()
-            arr = cache[ids] = convert(ids)
-        return arr
-
-    return get
-
-
-def _load_cffi(path: Path, native: NativeSource):
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(native.cdef)
-    lib = ffi.dlopen(str(path))
-    from_buffer = ffi.from_buffer
-
-    def wrap(cfn):
-        def call(t, y, p, out):
-            cfn(
-                t,
-                from_buffer("double[]", y),
-                from_buffer("double[]", p),
-                from_buffer("double[]", out),
-            )
-            return out
-
-        return call
-
-    def vec(cfn, n):
-        def call():
-            out = np.empty(n, dtype=float)
-            cfn(from_buffer("double[]", out))
-            return out
-
-        return call
-
-    def batch(cfn):
-        id_array = _id_arrays(lambda ids: ffi.new("int[]", ids))
-
-        def run(ids, t, y, p, out, times):
-            if ids:
-                cfn(
-                    t,
-                    from_buffer("double[]", y),
-                    from_buffer("double[]", p),
-                    from_buffer("double[]", out),
-                    id_array(ids),
-                    len(ids),
-                    from_buffer("double[]", times),
-                )
-
-        return run
-
-    return lib, wrap, vec, batch
-
-
-def _load_ctypes(path: Path, native: NativeSource):
-    lib = ctypes.CDLL(str(path))
-    c_double, c_int = ctypes.c_double, ctypes.c_int
-    PD = ctypes.POINTER(c_double)
-    exported = ["RHS", "START", "PARAMS"] + [
-        f"task_{k}" for k in range(native.num_tasks)
-    ]
-    if native.has_jacobian:
-        exported.append("JAC")
-    for name in exported:
-        fn = getattr(lib, name)
-        fn.restype = None
-        if name in ("START", "PARAMS"):
-            fn.argtypes = [PD]
-        else:
-            fn.argtypes = [c_double, PD, PD, PD]
-    lib.run_tasks.restype = None
-    lib.run_tasks.argtypes = [
-        c_double, PD, PD, PD, ctypes.POINTER(c_int), c_int, PD,
-    ]
-    for name in ("NUM_STATES", "NUM_PARTIALS", "NUM_TASKS"):
-        fn = getattr(lib, name)
-        fn.restype = c_int
-        fn.argtypes = []
-
-    def wrap(cfn):
-        def call(t, y, p, out):
-            cfn(
-                t,
-                y.ctypes.data_as(PD),
-                p.ctypes.data_as(PD),
-                out.ctypes.data_as(PD),
-            )
-            return out
-
-        return call
-
-    def vec(cfn, n):
-        def call():
-            out = np.empty(n, dtype=float)
-            cfn(out.ctypes.data_as(PD))
-            return out
-
-        return call
-
-    def batch(cfn):
-        id_array = _id_arrays(lambda ids: (c_int * len(ids))(*ids))
-
-        def run(ids, t, y, p, out, times):
-            if ids:
-                cfn(
-                    t,
-                    y.ctypes.data_as(PD),
-                    p.ctypes.data_as(PD),
-                    out.ctypes.data_as(PD),
-                    id_array(ids),
-                    len(ids),
-                    times.ctypes.data_as(PD),
-                )
-
-        return run
-
-    return lib, wrap, vec, batch
-
-
-def load_native_module(path: Path, native: NativeSource) -> NativeModule:
-    """``dlopen`` a built object and wrap its exports as Python callables.
-
-    Prefers cffi ABI mode; falls back to ctypes when cffi is missing
-    (``$REPRO_NATIVE_FFI=ctypes`` forces the fallback for testing).  The
-    module's layout probes (``NUM_STATES`` …) are cross-checked against
-    the :class:`NativeSource` so a wrong object can never be silently
-    called with mismatched buffers.
+    The glue is the file ``glue`` when given and present, else built or
+    found beside ``path``.  The object's layout probes (``NUM_STATES`` …)
+    are cross-checked against the :class:`NativeSource` so a wrong object
+    can never be called with mismatched buffers.
     """
     path = Path(path)
-    forced = os.environ.get("REPRO_NATIVE_FFI", "")
     try:
-        try:
-            if forced == "ctypes":
-                raise ImportError("ctypes forced via $REPRO_NATIVE_FFI")
-            lib, wrap, vec, batch = _load_cffi(path, native)
-            ffi_kind = "cffi"
-        except ImportError:
-            lib, wrap, vec, batch = _load_ctypes(path, native)
-            ffi_kind = "ctypes"
+        return NativeModule(path, native, _load_glue(path.parent, glue))
     except OSError as exc:
-        raise NativeUnavailable(
-            "load_failed", f"cannot load native module {path}: {exc}"
-        ) from exc
-    got = (
-        int(lib.NUM_STATES()), int(lib.NUM_PARTIALS()), int(lib.NUM_TASKS())
-    )
-    want = (native.num_states, native.num_partials, native.num_tasks)
-    if got != want:
-        raise NativeUnavailable(
-            "load_failed",
-            f"native module {path} layout mismatch: "
-            f"(states, partials, tasks) = {got}, expected {want}",
-        )
-    jac_sparse = wrap(lib.JAC) if native.has_jacobian else None
-    return NativeModule(
-        path=path,
-        native=native,
-        ffi_kind=ffi_kind,
-        rhs=wrap(lib.RHS),
-        tasks=[
-            wrap(getattr(lib, f"task_{k}")) for k in range(native.num_tasks)
-        ],
-        run_tasks=batch(lib.run_tasks),
-        jac_sparse=jac_sparse,
-        start=vec(lib.START, native.num_states),
-        params=vec(lib.PARAMS, native.num_params),
-    )
+        raise NativeUnavailable("load_failed", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -541,19 +495,23 @@ def build_native_module(
     native: NativeSource,
     cache: NativeCache | None = None,
     events: "RuntimeEvents | None" = None,
+    glue: str | None = None,
 ) -> tuple[NativeModule, dict[str, Any]]:
     """Compile (or reuse) and load the native module for ``native``.
 
+    ``glue`` is a shipped glue path, as for :func:`load_native_module`.
     Returns ``(module, info)`` where ``info`` records ``cache_hit``
-    (memory or disk), ``build_ms`` and ``ffi`` for the ``--explain``
-    report.  Raises :class:`NativeUnavailable` when no compiler exists or
-    the build fails — callers degrade to the Python backend.
+    (memory or disk) and ``build_ms`` for the ``--explain`` report.
+    Raises :class:`NativeUnavailable` when no compiler or no Python
+    headers exist or the build fails — callers degrade to the Python
+    backend.
     """
     cache = cache if cache is not None else get_default_native_cache()
     t0 = time.perf_counter()
     probe = _probe_toolchain()
     if probe["cc"] is None:
         raise NativeUnavailable("no_compiler", probe["reason"])
+    _load_glue(cache.root, glue)  # first: missing headers skip the cc run
     key = native_key(native)
     assert key is not None
 
@@ -563,7 +521,6 @@ def build_native_module(
         return module, {
             "cache_hit": True, "level": "memory", "key": key,
             "build_ms": (time.perf_counter() - t0) * 1e3,
-            "ffi": module.ffi_kind,
         }
 
     so_path = cache.so_path(key)
@@ -577,48 +534,34 @@ def build_native_module(
             pass
     else:
         cache.misses += 1
-        cache.root.mkdir(parents=True, exist_ok=True)
         # Build in the cache directory itself so the publishing rename
         # never crosses a filesystem boundary; unique names per process.
         tag = f"{key}.{os.getpid()}"
         src = cache.root / f"{tag}.c"
         tmp_so = cache.root / f"{tag}.so.tmp"
         try:
+            cache.root.mkdir(parents=True, exist_ok=True)
             src.write_text(native.source + "\n")
-            cmd = [*probe["cc"], *CFLAGS, "-o", str(tmp_so), str(src), "-lm"]
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=300
-            )
-            if proc.returncode != 0:
-                tail = (proc.stderr or "").strip().splitlines()[-8:]
-                raise NativeUnavailable(
-                    "compile_failed",
-                    f"{' '.join(cmd)} failed "
-                    f"(exit {proc.returncode}): " + " | ".join(tail),
-                )
+            _compile(probe["cc"], src, tmp_so, "-lm")
             cache.store(key, tmp_so)
-        except (OSError, subprocess.TimeoutExpired) as exc:
+        except OSError as exc:
             raise NativeUnavailable(
                 "compile_failed", f"native build failed: {exc}"
             ) from exc
         finally:
-            for leftover in (src, tmp_so):
-                try:
-                    leftover.unlink()
-                except OSError:
-                    pass
+            src.unlink(missing_ok=True)
+            tmp_so.unlink(missing_ok=True)
         if events is not None:
             events.record(
                 "native_build", key=key, model=native.name,
                 compiler=probe["version"],
             )
 
-    module = load_native_module(so_path, native)
+    module = load_native_module(so_path, native, glue)
     cache.put_module(key, module)
     return module, {
         "cache_hit": cache_hit,
         "level": "disk" if cache_hit else "build",
         "key": key,
         "build_ms": (time.perf_counter() - t0) * 1e3,
-        "ffi": module.ffi_kind,
     }

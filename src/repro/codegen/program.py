@@ -148,6 +148,8 @@ class ProgramSpec:
     #: directly when it still exists, else rebuild through this cache root
     native_so_path: str | None = None
     native_cache_root: str | None = None
+    #: the glue extension the parent loaded; workers import the same file
+    native_glue_path: str | None = None
 
     def build_module(self) -> PythonModule:
         """Re-``exec`` the generated source into a fresh namespace."""
@@ -188,14 +190,17 @@ class ProgramSpec:
                 Path(self.native_so_path).exists()
             ):
                 return load_native_module(
-                    Path(self.native_so_path), self.native_source
+                    Path(self.native_so_path), self.native_source,
+                    self.native_glue_path,
                 )
             cache = (
                 NativeCache(self.native_cache_root)
                 if self.native_cache_root is not None
                 else None
             )
-            module, _ = build_native_module(self.native_source, cache=cache)
+            module, _ = build_native_module(
+                self.native_source, cache=cache, glue=self.native_glue_path
+            )
             return module
         except NativeUnavailable:
             return None
@@ -269,16 +274,26 @@ class GeneratedProgram:
     # -- execution ------------------------------------------------------------
 
     def rhs(self, t: float, y: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        """Serial RHS evaluation: returns a fresh ``ydot`` array."""
+        """Serial RHS evaluation: returns a fresh ``ydot`` array.
+
+        A ``y`` or ``p`` of the wrong length raises ``ValueError`` naming
+        it, on every backend (the native glue checks its own buffers).
+        """
         if p is None:
             p = self._default_params()
+        y = np.ascontiguousarray(y, dtype=float)
         out = np.empty(self.num_states, dtype=float)
-        fn = (
-            self.native_module.rhs
-            if self.native_module is not None
-            else self.module.rhs
-        )
-        fn(t, np.ascontiguousarray(y, dtype=float), p, out)
+        if self.native_module is not None:
+            self.native_module.rhs(t, y, p, out)
+            return out
+        for name, v, n in (
+            ("y", y, self.num_states), ("p", p, self._default_params().size)
+        ):
+            if np.shape(v) != (n,):
+                raise ValueError(
+                    f"{name} has shape {np.shape(v)}, expected ({n},)"
+                )
+        self.module.rhs(t, y, p, out)
         return out
 
     def make_rhs(self, p: np.ndarray | None = None) -> Callable:
@@ -470,6 +485,9 @@ class GeneratedProgram:
             native_so_path=None if native is None else str(native.path),
             native_cache_root=(
                 None if native is None else str(native.path.parent)
+            ),
+            native_glue_path=(
+                None if native is None else str(native.glue_path)
             ),
         )
 

@@ -89,8 +89,9 @@ __all__ = [
 #: bumped whenever the artifact JSON layout changes; part of every key
 #: (2: native C translation unit added for backend="c"; 3: expressions
 #: stored as one node table per artifact instead of nested trees; 4: the
-#: native unit exports the run_tasks batch entry the loader binds)
-ARTIFACT_FORMAT = 4
+#: native unit exports the run_tasks batch entry the loader binds; 5: the
+#: native unit carries no cffi ``cdef`` block)
+ARTIFACT_FORMAT = 5
 
 
 # ---------------------------------------------------------------------------

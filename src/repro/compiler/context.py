@@ -59,8 +59,9 @@ def unknown_backend_message(backend: object) -> str:
             hint = f" (did you mean {close[0]!r}?)"
     return (
         f"unknown backend {backend!r} for compilation{hint}; valid backends: "
-        f"'python', 'numpy', 'c' (executable; 'c' compiles natively via "
-        f"cffi/ctypes) — 'fortran' is a source-only target emitted via "
+        f"'python', 'numpy', 'c' (executable; 'c' compiles natively and "
+        f"calls the unit through the _native glue) — 'fortran' is a "
+        f"source-only target emitted via "
         f"`repro codegen -t f90` or generate_fortran"
     )
 

@@ -341,7 +341,6 @@ def _run_link_native(ctx: CompilationContext) -> None:
     ctx.native_module = module
     ctx.metrics["native_cache_hit"] = info["cache_hit"]
     ctx.metrics["native_build_ms"] = info["build_ms"]
-    ctx.metrics["native_ffi"] = info["ffi"]
 
 
 def _skip_link_native(ctx: CompilationContext) -> str | None:

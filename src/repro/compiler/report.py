@@ -148,7 +148,7 @@ class PipelineReport:
             )
             lines.append(
                 f"  native build: {self.metrics['native_build_ms']:.2f} ms "
-                f"({what}, ffi {self.metrics.get('native_ffi', '?')})"
+                f"({what})"
             )
         if "native_unavailable" in self.metrics:
             lines.append(

@@ -5,13 +5,16 @@ nothing ever compiled their output.  Every printed C source for all four
 example apps (serial and parallel modes, with the analytic Jacobian) and
 every native translation unit must now compile warning-free under
 ``cc -c -Wall -Werror``, and every native unit exports the ``run_tasks``
-batch entry the executors call.  Skipped with a visible reason when the machine
+batch entry the executors call; the ``_native.c`` glue that calls the
+units compiles warning-free too.  Skipped with a visible reason when the machine
 has no C compiler.
 """
 
 from __future__ import annotations
 
 import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.apps.bearing3d import Bearing3dParams, build_bearing3d
 from repro.apps.powerplant import build_powerplant
 from repro.apps.servo import build_servo
 from repro.codegen import generate_c, generate_c_tasks, make_ode_system
-from repro.codegen.native import find_compiler
+from repro.codegen.native import GLUE_SOURCE, find_compiler
 from repro.codegen.transform import OdeSystem
 
 HAS_CC = find_compiler() is not None
@@ -55,13 +58,13 @@ _RUN_TASKS = (
 )
 
 
-def _compile_smoke(source: str, tmp_path, tag: str) -> None:
+def _compile_smoke(source: str, tmp_path, tag: str, *extra: str) -> None:
     src = tmp_path / f"{tag}.c"
     obj = tmp_path / f"{tag}.o"
     src.write_text(source + "\n")
     cc = find_compiler()
     proc = subprocess.run(
-        [*cc, "-c", "-Wall", "-Werror", "-o", str(obj), str(src)],
+        [*cc, "-c", "-Wall", "-Werror", *extra, "-o", str(obj), str(src)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, (
@@ -83,7 +86,6 @@ def test_textual_c_source_compiles(systems, tmp_path, app, mode):
 def test_native_translation_unit_compiles(systems, tmp_path, app):
     native = generate_c_tasks(systems(app), jacobian=True)
     assert f"{_RUN_TASKS}\n{{" in native.source
-    assert f"{_RUN_TASKS};" in native.cdef
     _compile_smoke(native.source, tmp_path, f"{app}_native")
 
 
@@ -95,6 +97,17 @@ def test_native_unit_without_tasks_compiles(tmp_path):
     assert native.num_tasks == 0
     assert f"{_RUN_TASKS}\n{{" in native.source
     _compile_smoke(native.source, tmp_path, "empty_native")
+
+
+@needs_cc
+@pytest.mark.skipif(
+    not Path(sysconfig.get_paths()["include"], "Python.h").is_file(),
+    reason="no Python development headers",
+)
+def test_native_glue_compiles(tmp_path):
+    """The hand-written glue that calls every unit builds warning-free."""
+    _compile_smoke(GLUE_SOURCE.read_text(), tmp_path, "glue",
+                   f"-I{sysconfig.get_paths()['include']}")
 
 
 @needs_cc

@@ -13,6 +13,7 @@ traceback.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -286,7 +287,7 @@ class TestGracefulDegradation:
     def test_compile_failure_degrades_not_raises(self, tmp_path):
         bad = NativeSource(
             source="this is not C at all;",
-            cdef="", name="broken", num_states=1, num_partials=0,
+            name="broken", num_states=1, num_partials=0,
             num_tasks=0, num_params=0, has_jacobian=False,
             jac_rows=(), jac_cols=(), num_lines=1, num_cse=0,
         )
@@ -313,19 +314,8 @@ class TestNativeCache:
             "void START(double *y0) { y0[0] = 1.0; }",
             "void PARAMS(double *pout) { (void)pout; }",
         ])
-        cdef = "\n".join([
-            "int NUM_STATES(void);",
-            "int NUM_PARTIALS(void);",
-            "int NUM_TASKS(void);",
-            "void RHS(double t, const double *yin, const double *p, "
-            "double *yout);",
-            "void run_tasks(double t, const double *yin, const double *p, "
-            "double *yout, const int *ids, int n, double *times);",
-            "void START(double *y0);",
-            "void PARAMS(double *pout);",
-        ])
         return NativeSource(
-            source=source, cdef=cdef, name=f"tiny{tag}", num_states=1,
+            source=source, name=f"tiny{tag}", num_states=1,
             num_partials=0, num_tasks=0, num_params=0, has_jacobian=False,
             jac_rows=(), jac_cols=(), num_lines=source.count("\n") + 1,
             num_cse=0,
@@ -383,18 +373,224 @@ class TestNativeCache:
         assert key is not None and len(key) == 64
         assert native_layer.native_key(src) == key
 
-    def test_ctypes_fallback_agrees(self, tmp_path, monkeypatch):
-        cache = NativeCache(tmp_path)
-        src = self._tiny(6)
-        module, _ = build_native_module(src, cache=cache)
-        monkeypatch.setenv("REPRO_NATIVE_FFI", "ctypes")
-        via_ctypes = load_native_module(module.path, src)
-        assert via_ctypes.ffi_kind == "ctypes"
-        y = np.array([2.5])
-        a, b = np.empty(1), np.empty(1)
-        module.rhs(0.0, y, np.empty(0), a)
-        via_ctypes.rhs(0.0, y, np.empty(0), b)
-        assert a[0] == b[0] == 15.0
+
+def _compile_glue_builds(monkeypatch) -> list:
+    """Forget this process's glue and record each glue compile after."""
+    monkeypatch.setattr(native_layer, "_glue", None)
+    builds: list = []
+    compile_ = native_layer._compile
+
+    def counting(cc, src, out, *extra):
+        if src == native_layer.GLUE_SOURCE:
+            builds.append(out)
+        compile_(cc, src, out, *extra)
+
+    monkeypatch.setattr(native_layer, "_compile", counting)
+    return builds
+
+
+#: a fresh interpreter loads a worker's native module from a pickled spec
+#: with no compiler to rebuild anything: only the shipped files can load
+_WORKER = """
+import pickle, sys
+import numpy as np
+from repro.codegen import native
+spec, y, p, res = pickle.load(open(sys.argv[1], "rb"))
+module = spec._build_native()
+module.run_tasks(tuple(range(spec.num_tasks)), 0.1, y, p, res,
+                 np.zeros(spec.num_tasks))
+pickle.dump((native._glue.__file__, res), sys.stdout.buffer)
+"""
+
+
+@needs_cc
+class TestGlue:
+    """The one CPython extension that calls every native unit."""
+
+    def test_built_once_per_process_across_cache_roots(
+        self, tmp_path, monkeypatch
+    ):
+        builds = _compile_glue_builds(monkeypatch)
+        first, second = (TestNativeCache()._tiny(tag) for tag in (11, 12))
+        a, _ = build_native_module(first, cache=NativeCache(tmp_path / "a"))
+        b, _ = build_native_module(second, cache=NativeCache(tmp_path / "b"))
+        assert len(builds) == 1
+        assert a.glue_path == b.glue_path
+        assert a.glue_path.parent == tmp_path / "a" / "glue"
+        assert not (tmp_path / "b" / "glue").exists()
+        out = np.empty(1)
+        assert b.rhs(0.0, np.array([2.0]), np.empty(0), out) is out
+        assert out[0] == 24.0
+
+    def test_eviction_keeps_the_glue_and_workers_load_it(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+        import subprocess
+        import sys
+
+        from repro.runtime import ProcessExecutor
+
+        builds = _compile_glue_builds(monkeypatch)
+        root = tmp_path / "native"
+        programs = [
+            compile_context(model=build(), options=CompileOptions(
+                backend="c",
+                native_cache=NativeCache(root, max_entries=1),
+            )).program
+            for build in (build_servo, build_powerplant)
+        ]
+        assert [p.backend for p in programs] == ["c", "c"]
+        assert len(list(root.glob("*.so"))) == 1  # the servo unit went
+        (glue,) = (root / "glue").iterdir()
+        assert len(builds) == 1
+        assert programs[1].native_module.glue_path == glue
+        before = glue.stat()
+
+        program = programs[1]
+        y, p = program.start_vector(), program.param_vector()
+        reference = _evaluate(SerialExecutor, program, 0.1, y)
+        with ProcessExecutor(program, num_workers=1) as executor:
+            res = program.results_buffer()
+            executor.evaluate(0.1, y, p, res)
+        assert np.array_equal(res, reference)
+
+        spec_file = tmp_path / "spec.pkl"
+        spec_file.write_bytes(pickle.dumps(
+            (program.rebuild_spec(), y, p, program.results_buffer())
+        ))
+        env = dict(os.environ, REPRO_CC=str(tmp_path / "no-such-cc"),
+                   REPRO_NATIVE_CACHE=str(tmp_path / "empty"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER, str(spec_file)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        glue_file, worker_res = pickle.loads(proc.stdout)
+        assert glue_file == str(glue)
+        assert np.array_equal(worker_res, reference)
+        after = glue.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns
+        )
+        assert not (tmp_path / "empty").exists()
+
+    def test_layout_and_exports_are_checked_at_load(self, tmp_path):
+        tiny = TestNativeCache()._tiny(13)
+        module, _ = build_native_module(tiny, cache=NativeCache(tmp_path))
+        cases = {
+            "layout mismatch": dataclasses.replace(tiny, num_states=2),
+            "does not export JAC_NNZ": dataclasses.replace(
+                tiny, has_jacobian=True, jac_rows=(0,), jac_cols=(0,)
+            ),
+        }
+        for message, wrong in cases.items():
+            with pytest.raises(NativeUnavailable, match=message) as exc:
+                load_native_module(module.path, wrong)
+            assert exc.value.reason == "load_failed"
+        with pytest.raises(NativeUnavailable, match="cannot load"):
+            load_native_module(tmp_path / "missing.so", tiny)
+
+    def test_missing_headers_fall_back_to_python(
+        self, tmp_path, monkeypatch
+    ):
+        _compile_glue_builds(monkeypatch)
+        empty = tmp_path / "include"
+        empty.mkdir()
+        monkeypatch.setattr(native_layer, "_python_include",
+                            lambda: str(empty))
+        cm = compile_model(build_servo(), backend="c")
+        program = cm.program
+        assert program.backend == "python"
+        assert program.native_fallback_reason == "no_python_headers"
+        assert cm.report.metrics["native_unavailable"] == "no_python_headers"
+        assert "native unavailable: no_python_headers" in "\n".join(
+            cm.report.summary_lines()
+        )
+        out = program.rhs(0.0, program.start_vector())
+        assert np.all(np.isfinite(out))
+
+
+def _bad_buffers(n: int) -> dict:
+    """name -> a buffer of ``n`` float64 values gone wrong one way."""
+    return {
+        "short": np.zeros(n - 1),
+        "long": np.zeros(n + 1),
+        "float32": np.zeros(n, dtype=np.float32),
+        "strided": np.zeros(2 * n)[::2],
+        "list": [0.0] * n,
+    }
+
+
+@needs_cc
+class TestBufferChecks:
+    """Every native call checks every buffer before the C code runs."""
+
+    @pytest.mark.parametrize("how", sorted(_bad_buffers(2)))
+    @pytest.mark.parametrize("which", ["y", "p", "out"])
+    def test_rhs_names_the_bad_buffer(self, programs, which, how):
+        _, c = programs("bearing3d")
+        module = c.native_module
+        args = {"y": c.start_vector(), "p": c.param_vector(),
+                "out": np.empty(c.num_states)}
+        args[which] = _bad_buffers(args[which].size)[how]
+        with pytest.raises(ValueError, match=rf"^{which}\b"):
+            module.rhs(0.0, args["y"], args["p"], args["out"])
+
+    @pytest.mark.parametrize("which", ["y", "p", "out", "times"])
+    def test_run_tasks_names_the_bad_buffer(self, programs, which):
+        _, c = programs("bearing3d")
+        args = {"y": c.start_vector(), "p": c.param_vector(),
+                "out": c.results_buffer(), "times": np.zeros(c.num_tasks)}
+        args[which] = args[which][:-1]
+        with pytest.raises(ValueError, match=rf"^{which} has"):
+            c.native_module.run_tasks((0,), 0.0, *args.values())
+
+    def test_run_tasks_rejects_unknown_ids(self, programs):
+        _, c = programs("bearing3d")
+        for bad in (-1, c.num_tasks):
+            with pytest.raises(ValueError, match=r"^ids\[1\]"):
+                c.native_module.run_tasks(
+                    (0, bad), 0.0, c.start_vector(), c.param_vector(),
+                    c.results_buffer(), np.zeros(c.num_tasks),
+                )
+
+    def test_read_only_output_is_rejected(self, programs):
+        _, c = programs("bearing3d")
+        out = np.empty(c.num_states)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="^out is read-only"):
+            c.native_module.rhs(0.0, c.start_vector(), c.param_vector(), out)
+
+    def test_start_and_params_match_the_python_module(self, programs):
+        py, c = programs("bearing3d")
+        assert np.array_equal(c.native_module.start(), py.start_vector())
+        assert np.array_equal(c.native_module.params(), py.param_vector())
+        with pytest.raises(ValueError, match="^out has"):
+            c.native_module._unit.start(np.empty(c.num_states + 1))
+
+    def test_make_rhs_rejects_a_short_state(self, programs):
+        """The native RHS used to read past a 5-value y and return n."""
+        _, c = programs("bearing3d")
+        f = c.make_rhs()
+        with pytest.raises(ValueError, match="^y has 5 float64 values"):
+            f(0.0, c.start_vector()[:5])
+        jac = c.make_jac()
+        with pytest.raises(ValueError, match="^y has"):
+            jac(0.0, np.zeros(c.num_states + 1))
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize("size", [-1, 1])
+    def test_program_rhs_rejects_wrong_lengths(self, programs, backend,
+                                               size):
+        program = programs("bearing3d")[backend == "c"]
+        assert program.backend == backend
+        y = np.zeros(program.num_states + size)
+        p = np.zeros(program.param_vector().size + size)
+        with pytest.raises(ValueError, match="^y "):
+            program.rhs(0.0, y)
+        with pytest.raises(ValueError, match="^p "):
+            program.rhs(0.0, program.start_vector(), p)
 
 
 @needs_cc

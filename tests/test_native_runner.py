@@ -8,7 +8,7 @@ for a whole list); Python programs and fault-injected programs take
 per-task one: bit-identical solves across executor × fusion × K, the
 per-task times the semi-dynamic scheduler feeds on (assigned in plain
 rounds, accumulated in K-stage chunks), the in-chunk barrier a worker
-with an empty level must still reach, both FFI loaders, and the fault
+with an empty level must still reach, a reloaded unit, and the fault
 ladder under K-stage chunks.
 """
 
@@ -275,33 +275,32 @@ def test_empty_level_in_a_chunk_reaches_the_barrier(programs, kind):
     assert events.total_recorded == 0  # no abort, no replay
 
 
-# -- the ctypes loader ------------------------------------------------------------
+# -- a second load of the same unit ----------------------------------------------
 
 
 @needs_cc
-def test_ctypes_loader_agrees_with_cffi(programs, monkeypatch):
-    pytest.importorskip("cffi")
+def test_reloaded_unit_agrees_bit_for_bit(programs):
+    """A second ``dlopen`` of the built unit (what a process worker does)
+    computes what the first does, alone and under the thread pool."""
     program = programs("bearing3d-8")
     module = program.native_module
-    monkeypatch.delenv("REPRO_NATIVE_FFI", raising=False)
-    via_cffi = load_native_module(module.path, module.native)
-    monkeypatch.setenv("REPRO_NATIVE_FFI", "ctypes")
-    via_ctypes = load_native_module(module.path, module.native)
-    assert (via_cffi.ffi_kind, via_ctypes.ffi_kind) == ("cffi", "ctypes")
+    again = load_native_module(module.path, module.native,
+                               str(module.glue_path))
+    assert again is not module and again.glue_path == module.glue_path
 
     y, p = program.start_vector() + 1e-3, program.param_vector()
     order = tuple(range(program.num_tasks))
     outs = []
-    for loaded in (via_cffi, via_ctypes):
+    for loaded in (module, again):
         res, times = program.results_buffer(), np.zeros(program.num_tasks)
         loaded.run_tasks(order, 0.1, y, p, res, times)
         assert np.all(times > 0)
         outs.append(res)
     assert np.array_equal(*outs)
 
-    ctypes_program = dataclasses.replace(program, native_module=via_ctypes)
-    with ThreadedExecutor(ctypes_program, 2) as executor:
-        assert np.array_equal(_stages(ctypes_program, executor),
+    reloaded = dataclasses.replace(program, native_module=again)
+    with ThreadedExecutor(reloaded, 2) as executor:
+        assert np.array_equal(_stages(reloaded, executor),
                               _stages(program, SerialExecutor(program)))
 
 

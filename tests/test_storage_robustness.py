@@ -398,8 +398,6 @@ class TestMalformedArtifacts:
         artifact = root / f"{ctx.cache_key}.json"
         obj = json.loads(artifact.read_text())
         unit = obj["native_source"]
-        unit["cdef"] = "\n".join(line for line in unit["cdef"].splitlines()
-                                 if "run_tasks" not in line)
         unit["source"] = unit["source"].replace("run_tasks", "old_entry")
         obj["format"] = 3
         with monkeypatch.context() as patched:
@@ -418,6 +416,40 @@ class TestMalformedArtifacts:
         program = again.program
         assert program.backend == "c"
         assert program.task_runner() is program.native_module.run_tasks
+        assert compile_c(ArtifactCache(root)).cache_hit
+
+    @pytest.mark.skipif(find_compiler() is None,
+                        reason="no C compiler on PATH")
+    @pytest.mark.parametrize("fmt", [4, 5])
+    def test_native_unit_with_a_cdef_is_a_quarantined_miss(
+        self, tmp_path, monkeypatch, fmt
+    ):
+        """Format 4 stored the unit with a cffi ``cdef`` block, which
+        :class:`NativeSource` no longer has: such bytes under the current
+        key — labelled 4, or mislabelled 5 — are quarantined and the
+        compile rebuilds, never a TypeError out of the load."""
+        root = tmp_path / "cache"
+        native_cache = NativeCache(tmp_path / "native")
+
+        def compile_c(cache):
+            return compile_context(source=_SRC, options=CompileOptions(
+                backend="c", cache=cache, native_cache=native_cache))
+
+        ctx = compile_c(ArtifactCache(root))
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "ARTIFACT_FORMAT", 4)
+            assert artifact_key(ctx.model_hash, ctx.options) != ctx.cache_key
+        artifact = root / f"{ctx.cache_key}.json"
+        obj = json.loads(artifact.read_text())
+        obj["native_source"]["cdef"] = "void RHS(double t);"
+        obj["format"] = fmt
+        artifact.write_text(json.dumps(obj))
+
+        events = RuntimeEvents()
+        again = compile_c(ArtifactCache(root, events=events))
+        assert not again.cache_hit
+        assert events.count("cache_quarantined") == 1
+        assert again.program.backend == "c"
         assert compile_c(ArtifactCache(root)).cache_hit
 
 
