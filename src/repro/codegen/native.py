@@ -21,8 +21,11 @@ source, the compile flags, and the compiler's version line, so a model
 compiles natively exactly once per (machine, toolchain) and every later
 compile — in this process or any other — is a ``dlopen``.  The on-disk
 store (default ``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro/native``) is
-bounded: size/count eviction drops the oldest ``.so`` files and records
-a ``native_cache_evicted`` event, so long-lived hosts don't accumulate
+the artifact cache's :class:`~repro.store.DiskStore`: objects are
+published with fsync and an atomic rename under a per-key lock, and one
+that fails to load is quarantined and rebuilt.  It is bounded: size/count
+eviction drops the oldest ``.so`` files and records a
+``native_cache_evicted`` event, so long-lived hosts don't accumulate
 unbounded build products.
 
 Numerical discipline: sources are compiled with ``-ffp-contract=off`` so
@@ -33,6 +36,7 @@ call the same libm; CPython's ``math`` does too).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import os
@@ -47,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from ..store import DiskStore
 from .gen_c import NativeSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -218,26 +223,24 @@ def _build_glue(cache_root: Path) -> Path:
         GLUE_SOURCE.read_text(), "\n".join(CFLAGS), probe["version"],
         str(sysconfig.get_config_var("SOABI")), include,
     )
-    target = cache_root / "glue" / f"_native-{key[:16]}.so"
-    if not target.exists():
+    store = DiskStore(cache_root / "glue", ".so")
+    name = f"_native-{key[:16]}"
+    if not store.path(name).exists():
         if not (Path(include) / "Python.h").is_file():
             raise NativeUnavailable(
                 "no_python_headers",
                 f"Python.h not found under {include}: the native backend "
                 f"needs the Python development headers",
             )
-        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            _compile(probe["cc"], GLUE_SOURCE, tmp, f"-I{include}", "-ldl")
-            os.replace(tmp, target)
+            store.publish(name, lambda tmp: _compile(
+                probe["cc"], GLUE_SOURCE, tmp, f"-I{include}", "-ldl"
+            ))
         except OSError as exc:
             raise NativeUnavailable(
                 "compile_failed", f"glue build failed: {exc}"
             ) from exc
-        finally:
-            tmp.unlink(missing_ok=True)
-    return target
+    return store.path(name)
 
 
 def _load_glue(cache_root: Path, shipped: str | None = None) -> ModuleType:
@@ -304,28 +307,13 @@ class NativeModule:
         ]
 
     def start(self) -> np.ndarray:
-        return self._unit.start(np.empty(self.num_states))
+        return self._unit.start(np.empty(self.native.num_states))
 
     def params(self) -> np.ndarray:
         return self._unit.params(np.empty(self.native.num_params))
 
-    @property
-    def num_states(self) -> int:
-        return self.native.num_states
-
-    @property
-    def num_tasks(self) -> int:
-        return self.native.num_tasks
-
-    @property
-    def source(self) -> str:
-        return self.native.source
-
     def __repr__(self) -> str:
-        return (
-            f"<NativeModule {self.native.name}: {self.num_tasks} tasks, "
-            f"{self.path.name}>"
-        )
+        return f"<NativeModule {self.native.name}: {self.path.name}>"
 
 
 def _one_task(run_tasks: Callable, k: int, times: np.ndarray) -> Callable:
@@ -367,21 +355,15 @@ def default_native_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "native"
 
 
-class NativeCache:
-    """Content-addressed store of built ``.so`` files plus loaded modules.
+class NativeCache(DiskStore):
+    """Built ``<key>.so`` files in a :class:`~repro.store.DiskStore`, plus
+    the table of modules this process has loaded from them (append-only:
+    a shared object cannot be safely unloaded).
 
-    Two levels, mirroring :class:`~repro.compiler.cache.ArtifactCache`:
-    an in-process table of already-``dlopen``-ed modules (a shared object
-    cannot be safely unloaded, so this layer is append-only and bounded
-    by the number of distinct models a process compiles), and the on-disk
-    ``<key>.so`` store shared across processes.
-
-    The disk layer is **bounded**: after every store, the oldest objects
+    The disk level is **bounded**: after every build, the oldest objects
     (by mtime — loads touch their object, so this is LRU-ish) are evicted
     until at most ``max_entries`` files / ``max_bytes`` bytes remain,
-    recording a ``native_cache_evicted`` event per victim.  Stores are
-    atomic renames; concurrent builders of the same key race benignly to
-    an identical artifact.
+    recording a ``native_cache_evicted`` event per victim.
     """
 
     def __init__(
@@ -395,40 +377,80 @@ class NativeCache:
             raise ValueError("max_entries must be at least 1")
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
-        self.root = Path(root) if root is not None else (
-            default_native_cache_dir()
+        super().__init__(
+            root if root is not None else default_native_cache_dir(),
+            ".so", events,
         )
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.events = events
         self._modules: dict[str, NativeModule] = {}
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
-    def so_path(self, key: str) -> Path:
-        return self.root / f"{key}.so"
+    so_path = DiskStore.path
 
-    def get_module(self, key: str) -> NativeModule | None:
-        return self._modules.get(key)
-
-    def put_module(self, key: str, module: NativeModule) -> None:
+    def open(
+        self, key: str, native: NativeSource, glue: ModuleType
+    ) -> tuple[NativeModule, str]:
+        """The loaded module for ``key`` and the level that answered:
+        ``"memory"``, ``"disk"`` or ``"build"``.  An object that fails to
+        load is quarantined and rebuilt once; if that one fails too, this
+        raises ``load_failed`` rather than loop."""
+        module = self._modules.get(key)
+        if module is not None:
+            self.hits += 1
+            return module, "memory"
+        path = self.path(key)
+        for retry in (False, True):
+            built = self._build(key, native)
+            try:
+                module = NativeModule(path, native, glue)
+                break
+            except OSError as exc:
+                self.quarantine(key, f"load_failed: {exc}")
+                if built or retry:
+                    raise NativeUnavailable("load_failed", str(exc)) from exc
+        if built:
+            self.misses += 1
+        else:
+            self.hits += 1
+            with contextlib.suppress(OSError):  # read-only cache dir
+                os.utime(path)  # for the mtime-ordered eviction
         self._modules[key] = module
+        return module, "build" if built else "disk"
 
-    def store(self, key: str, built_so: Path) -> Path:
-        """Atomically publish a freshly built object, then evict."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        target = self.so_path(key)
-        os.replace(built_so, target)
-        self.evict(protect=target)
-        return target
+    def _build(self, key: str, native: NativeSource) -> bool:
+        """Build and publish ``<key>.so`` unless it exists; True if built.
+        The check is repeated under the key's lock, so a builder that
+        waited on a concurrent one loads its object, not ``cc`` again."""
+        path = self.path(key)
+        if path.exists():
+            return False
+        probe = _probe_toolchain()
+        if probe["cc"] is None:
+            raise NativeUnavailable("no_compiler", probe["reason"])
+        with self.lock(key, "native_build"):
+            if path.exists():
+                return False
+            try:
+                self.publish(
+                    key, lambda tmp: _build_unit(probe["cc"], native, tmp)
+                )
+            except OSError as exc:
+                raise NativeUnavailable(
+                    "compile_failed", f"native build failed: {exc}"
+                ) from exc
+        if self.events is not None:
+            self.events.record(
+                "native_build", key=key, model=native.name,
+                compiler=probe["version"],
+            )
+        self.evict(protect=path)
+        return True
 
     def evict(self, protect: Path | None = None) -> int:
         """Drop oldest ``.so`` files beyond the size/count bounds."""
         try:
-            entries = [
-                (p, p.stat()) for p in self.root.glob("*.so")
-            ]
+            entries = [(p, p.stat()) for p in self.root.glob("*.so")]
         except OSError:  # pragma: no cover - cache dir vanished
             return 0
         entries.sort(key=lambda e: e[1].st_mtime)
@@ -491,77 +513,43 @@ def get_default_native_cache() -> NativeCache:
 # ---------------------------------------------------------------------------
 
 
+def _build_unit(cc: list[str], native: NativeSource, out: Path) -> None:
+    """Compile the unit's source into ``out`` (a store temp file)."""
+    src = out.with_suffix(".c")
+    try:
+        src.write_text(native.source + "\n")
+        _compile(cc, src, out, "-lm")
+    finally:
+        src.unlink(missing_ok=True)
+
+
 def build_native_module(
     native: NativeSource,
     cache: NativeCache | None = None,
-    events: "RuntimeEvents | None" = None,
     glue: str | None = None,
+    key: str | None = None,
 ) -> tuple[NativeModule, dict[str, Any]]:
     """Compile (or reuse) and load the native module for ``native``.
 
-    ``glue`` is a shipped glue path, as for :func:`load_native_module`.
-    Returns ``(module, info)`` where ``info`` records ``cache_hit``
-    (memory or disk) and ``build_ms`` for the ``--explain`` report.
+    ``glue`` is a shipped glue path, as for :func:`load_native_module`;
+    ``key`` is the unit's :func:`native_key` if the caller has it (a
+    process-pool worker gets its parent's and, finding the object, only
+    runs ``dlopen``).  Returns ``(module, info)``, ``info`` recording
+    ``cache_hit`` (memory or disk) and ``build_ms`` for ``--explain``.
     Raises :class:`NativeUnavailable` when no compiler or no Python
-    headers exist or the build fails — callers degrade to the Python
-    backend.
+    headers exist, or the build or load fails — callers degrade to the
+    Python backend.
     """
     cache = cache if cache is not None else get_default_native_cache()
     t0 = time.perf_counter()
-    probe = _probe_toolchain()
-    if probe["cc"] is None:
-        raise NativeUnavailable("no_compiler", probe["reason"])
-    _load_glue(cache.root, glue)  # first: missing headers skip the cc run
-    key = native_key(native)
-    assert key is not None
-
-    module = cache.get_module(key)
-    if module is not None:
-        cache.hits += 1
-        return module, {
-            "cache_hit": True, "level": "memory", "key": key,
-            "build_ms": (time.perf_counter() - t0) * 1e3,
-        }
-
-    so_path = cache.so_path(key)
-    cache_hit = so_path.exists()
-    if cache_hit:
-        cache.hits += 1
-        # Touch for the cache's mtime-ordered eviction (LRU-ish).
-        try:
-            os.utime(so_path)
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
-    else:
-        cache.misses += 1
-        # Build in the cache directory itself so the publishing rename
-        # never crosses a filesystem boundary; unique names per process.
-        tag = f"{key}.{os.getpid()}"
-        src = cache.root / f"{tag}.c"
-        tmp_so = cache.root / f"{tag}.so.tmp"
-        try:
-            cache.root.mkdir(parents=True, exist_ok=True)
-            src.write_text(native.source + "\n")
-            _compile(probe["cc"], src, tmp_so, "-lm")
-            cache.store(key, tmp_so)
-        except OSError as exc:
-            raise NativeUnavailable(
-                "compile_failed", f"native build failed: {exc}"
-            ) from exc
-        finally:
-            src.unlink(missing_ok=True)
-            tmp_so.unlink(missing_ok=True)
-        if events is not None:
-            events.record(
-                "native_build", key=key, model=native.name,
-                compiler=probe["version"],
-            )
-
-    module = load_native_module(so_path, native, glue)
-    cache.put_module(key, module)
+    key = key if key is not None else native_key(native)
+    if key is None:
+        raise NativeUnavailable("no_compiler", _probe_toolchain()["reason"])
+    # the glue first: missing headers skip the cc run
+    module, level = cache.open(key, native, _load_glue(cache.root, glue))
     return module, {
-        "cache_hit": cache_hit,
-        "level": "disk" if cache_hit else "build",
+        "cache_hit": level != "build",
+        "level": level,
         "key": key,
         "build_ms": (time.perf_counter() - t0) * 1e3,
     }

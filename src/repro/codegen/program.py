@@ -144,9 +144,10 @@ class ProgramSpec:
     #: native rebuild recipe (backend="c"): plain strings/ints/tuples, so
     #: the spec still pickles under any multiprocessing start method
     native_source: NativeSource | None = None
-    #: where the parent found/built the shared object — workers dlopen it
-    #: directly when it still exists, else rebuild through this cache root
-    native_so_path: str | None = None
+    #: the unit's native_key and the cache root the parent built it in:
+    #: a worker that finds ``<key>.so`` there only runs ``dlopen``, and
+    #: one that does not (or finds it corrupt) builds it through the cache
+    native_key: str | None = None
     native_cache_root: str | None = None
     #: the glue extension the parent loaded; workers import the same file
     native_glue_path: str | None = None
@@ -169,37 +170,19 @@ class ProgramSpec:
     def _build_native(self) -> "NativeModule | None":
         """The native module, or None for a Python program.
 
-        A dlopen of the parent's build product, or a rebuild through the
-        shipped cache root; None too when the worker's machine lacks a
-        toolchain, and the caller degrades silently to the Python module
-        — the numerics are identical either way.
+        Loaded from the shipped cache root exactly as the parent loads
+        it; None too when the object is gone and the worker's machine
+        lacks a toolchain, and the caller degrades silently to the
+        Python module — the numerics are identical either way.
         """
         if self.native_source is None:
             return None
-        from pathlib import Path
-
-        from .native import (
-            NativeCache,
-            NativeUnavailable,
-            build_native_module,
-            load_native_module,
-        )
+        from .native import NativeCache, NativeUnavailable, build_native_module
 
         try:
-            if self.native_so_path is not None and (
-                Path(self.native_so_path).exists()
-            ):
-                return load_native_module(
-                    Path(self.native_so_path), self.native_source,
-                    self.native_glue_path,
-                )
-            cache = (
-                NativeCache(self.native_cache_root)
-                if self.native_cache_root is not None
-                else None
-            )
             module, _ = build_native_module(
-                self.native_source, cache=cache, glue=self.native_glue_path
+                self.native_source, cache=NativeCache(self.native_cache_root),
+                glue=self.native_glue_path, key=self.native_key,
             )
             return module
         except NativeUnavailable:
@@ -474,6 +457,12 @@ class GeneratedProgram:
         """A :class:`ProgramSpec` from which worker processes re-create
         the scalar module (source + layout; no live code objects)."""
         native = self.native_module
+        shipped = {} if native is None else {
+            "native_source": native.native,
+            "native_key": native.path.stem,
+            "native_cache_root": str(native.path.parent),
+            "native_glue_path": str(native.glue_path),
+        }
         return ProgramSpec(
             name=self.system.name,
             source=self.module.source,
@@ -481,14 +470,7 @@ class GeneratedProgram:
             num_partials=self.num_partials,
             num_tasks=self.num_tasks,
             task_slots=self._all_task_slots(),
-            native_source=None if native is None else native.native,
-            native_so_path=None if native is None else str(native.path),
-            native_cache_root=(
-                None if native is None else str(native.path.parent)
-            ),
-            native_glue_path=(
-                None if native is None else str(native.glue_path)
-            ),
+            **shipped,
         )
 
     def task_output_slots(self, task_id: int) -> tuple[int, ...]:

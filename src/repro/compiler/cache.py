@@ -20,16 +20,13 @@ Two layers:
   cache directory) surviving across processes — the compiler-side
   equivalent of the runtime's checkpoint files.
 
-The on-disk store is **crash-consistent and multi-process safe**: writes
-go to a temp file that is fsynced before the atomic rename (and the
-directory is fsynced after it), so a crash can never publish a truncated
-artifact; concurrent compilers serialise per-key stores through a bounded
-advisory ``flock`` (``locks/<key>.lock``), degrading to plain
-last-writer-wins atomic renames when a stale holder keeps the lock past
-``lock_timeout``; and an artifact that fails to parse or validate on load
-is **quarantined** — moved to ``quarantine/`` and recorded as a
-``cache_quarantined`` event — instead of being silently re-read as a miss
-forever.
+The on-disk level is a :class:`~repro.store.DiskStore`, shared with the
+native build cache: **crash-consistent and multi-process safe**
+(fsync-before-atomic-rename, a bounded per-key ``flock`` that degrades to
+last-writer-wins when a stale holder keeps it past ``lock_timeout``), and
+an artifact that fails to parse or validate on load is **quarantined** —
+moved to ``quarantine/`` and recorded as a ``cache_quarantined`` event —
+instead of being silently re-read as a miss forever.
 
 Only trusted directories should be used as cache roots: cached artifacts
 contain generated source that is ``exec``-ed on load (exactly like the
@@ -41,16 +38,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
-
-try:  # POSIX advisory locks; the cache degrades gracefully without them
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Any
 
 from ..analysis.depgraph import DiGraph, VariableAssignment
 from ..analysis.partition import Partition, Subsystem
@@ -63,6 +53,7 @@ from ..codegen.transform import OdeSystem
 from ..codegen.verify import VerifyReport
 from ..model.flatten import ArrayFlatModel, FlatModel
 from ..schedule.task import Task, TaskGraph
+from ..store import DiskStore
 from ..symbolic.expr import Expr
 from ..symbolic.serialize import (
     ExprTable,
@@ -414,29 +405,14 @@ class CompiledArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def _fsync_directory(path: Path) -> None:
-    """Best-effort directory fsync (see ``runtime.checkpoint``)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
-
-
-class ArtifactCache:
+class ArtifactCache(DiskStore):
     """Two-level content-addressed cache of compiled artifacts.
 
     ``root=None`` keeps the cache purely in memory (still useful: repeated
     ensemble compiles of the same model within one process).  With a
-    directory, artifacts are persisted as ``<key>.json`` and survive
-    process restarts; writes are fsync-before-atomic-rename and guarded by
-    a per-key advisory lock (see the module docstring), matching the
-    checkpoint layer's crash-safety discipline.
+    directory, artifacts are persisted as ``<key>.json`` in a
+    :class:`~repro.store.DiskStore` and survive process restarts (see the
+    module docstring).
 
     ``events`` (a ``RuntimeEvents`` log) receives ``cache_quarantined``
     and ``cache_lock_timeout`` incidents; ``faults`` is the storage-fault
@@ -450,110 +426,15 @@ class ArtifactCache:
         faults: "StorageFaultInjector | None" = None,
         lock_timeout: float = 10.0,
     ) -> None:
-        if lock_timeout <= 0:
-            raise ValueError("lock_timeout must be positive")
-        self.root = Path(root) if root is not None else None
-        self.events = events
-        self.faults = faults
-        self.lock_timeout = lock_timeout
+        super().__init__(root, ".json", events, faults, lock_timeout)
         self._memory: dict[str, CompiledArtifacts] = {}
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-        self.lock_timeouts = 0
-
-    # -- paths ------------------------------------------------------------
-
-    def _path(self, key: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"{key}.json"
-
-    def _lock_path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / "locks" / f"{key}.lock"
-
-    def _quarantine_dir(self) -> Path:
-        assert self.root is not None
-        return self.root / "quarantine"
-
-    # -- locking ----------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _key_lock(self, key: str, op: str) -> Iterator[bool]:
-        """Hold the per-key advisory lock, bounded by ``lock_timeout``.
-
-        Yields ``True`` when the lock was acquired, ``False`` when the
-        wait timed out (a stale or wedged holder): the caller proceeds
-        *without* the lock — the atomic rename keeps last-writer-wins
-        correctness, the lock only serialises redundant work — and a
-        ``cache_lock_timeout`` event records the degradation.  The lock
-        file is unlinked after release while still exclusively held; a
-        concurrent opener of the doomed inode re-opens and re-locks, so
-        the race is benign for this advisory use.
-        """
-        if fcntl is None or self.root is None:  # pragma: no cover - non-POSIX
-            yield True
-            return
-        lock_path = self._lock_path(key)
-        if self.faults is not None:
-            self.faults.before_lock(op, lock_path)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + self.lock_timeout
-        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-        acquired = False
-        try:
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    acquired = True
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        break
-                    time.sleep(0.005)
-            if not acquired:
-                self.lock_timeouts += 1
-                if self.events is not None:
-                    self.events.record(
-                        "cache_lock_timeout", key=key, op=op,
-                        timeout=self.lock_timeout,
-                    )
-            try:
-                yield acquired
-            finally:
-                if acquired:
-                    with contextlib.suppress(OSError):
-                        lock_path.unlink()
-                    fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
-
-    # -- operations -------------------------------------------------------
-
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
-        """Move a corrupt artifact aside so the recompile can overwrite a
-        clean slate and operators can post-mortem the bad bytes."""
-        qdir = self._quarantine_dir()
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            target = qdir / f"{key}.{self.quarantined}.json"
-            os.replace(path, target)
-        except OSError:  # pragma: no cover - racing unlink/move is fine
-            target = None
-        self.quarantined += 1
-        if self.events is not None:
-            self.events.record(
-                "cache_quarantined", key=key, reason=reason,
-                moved_to=str(target) if target is not None else None,
-            )
 
     def load(self, key: str) -> CompiledArtifacts | None:
         hit = self._memory.get(key)
         if hit is not None:
             self.hits += 1
             return hit
-        path = self._path(key)
+        path = None if self.root is None else self.path(key)
         if path is not None and path.exists():
             if self.faults is not None:
                 self.faults.before_io("cache_load", path)
@@ -573,7 +454,7 @@ class ArtifactCache:
                 # indexes (IndexError), a damaged module source
                 # (SyntaxError), nesting past the interpreter's recursion
                 # limit (RecursionError).
-                self._quarantine(key, path, f"{type(exc).__name__}: {exc}")
+                self.quarantine(key, f"{type(exc).__name__}: {exc}")
                 self.misses += 1
                 return None
             self._memory[key] = artifacts
@@ -586,31 +467,17 @@ class ArtifactCache:
         self, key: str, artifacts: CompiledArtifacts, model_hash: str
     ) -> None:
         self._memory[key] = artifacts
-        path = self._path(key)
-        if path is None:
+        if self.root is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             artifacts.to_obj(model_hash, key), separators=(",", ":")
         ).encode()
         if self.faults is not None:
+            path = self.path(key)
             self.faults.before_io("cache_store", path)
             payload = self.faults.filter_payload("cache_store", path, payload)
-        with self._key_lock(key, "cache_store"):
-            # Unique temp name per process: two writers that both got here
-            # (lock timeout path) must not clobber each other's temp file.
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-                raise
-            _fsync_directory(path.parent)
+        with self.lock(key, "cache_store"):
+            self.publish(key, lambda tmp: tmp.write_bytes(payload))
 
     def drop_memory(self) -> None:
         """Evict the in-memory layer only (a service shedding memory, or a

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from ..store import fsync_directory
 from .events import RuntimeEvents
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +54,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "Checkpointer",
-    "fsync_directory",
     "load_checkpoint",
     "restore_stepper",
     "rotated_paths",
@@ -116,24 +116,6 @@ def _payload_crc(payload: dict[str, Any]) -> int:
     body = {k: v for k, v in payload.items() if k != "crc"}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(text.encode())
-
-
-def fsync_directory(path: Path) -> None:
-    """Flush directory metadata so a completed rename survives a crash.
-
-    Best-effort: directory fds are not fsync-able on every platform, and
-    durability degradation there must not break the write itself.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 def rotated_paths(path: Path, keep: int) -> list[Path]:

@@ -440,7 +440,9 @@ class StorageFaultInjector:
 
     def before_lock(self, op: str, lock_path) -> None:
         """Fire ``stale_lock``: hold the advisory lock from a background
-        thread so the caller's acquisition has to wait (or time out)."""
+        thread so the caller's acquisition has to wait (or time out).  The
+        holder lets go as a store lock holder does, unlinking the lock
+        file before the unlock, so nothing is left behind."""
         spec = self._claim(op, ("stale_lock",))
         if spec is None:
             return
@@ -461,6 +463,7 @@ class StorageFaultInjector:
         def _release_later() -> None:
             time.sleep(hold)
             try:
+                lock_path.unlink(missing_ok=True)
                 fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
                 os.close(fd)

@@ -689,7 +689,6 @@ class TestPipelineIntegration:
 
         spec = dataclasses.replace(
             spec,
-            native_so_path=str(tmp_path / "gone.so"),
             native_cache_root=str(tmp_path / "fresh-cache"),
         )
         run = spec.build_runner()

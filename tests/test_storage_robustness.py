@@ -1,11 +1,15 @@
 """Crash-consistent storage: checkpoint CRC/rotation/fallback, artifact
-cache quarantine and advisory locking, storage fault injection, and the
-bounded runtime event log."""
+cache quarantine and advisory locking, quarantine and rebuild of a corrupt
+native object, storage fault injection, and the bounded runtime event
+log."""
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -451,6 +455,117 @@ class TestMalformedArtifacts:
         assert events.count("cache_quarantined") == 1
         assert again.program.backend == "c"
         assert compile_c(ArtifactCache(root)).cache_hit
+
+
+#: a fresh interpreter on a native cache root: compile ``_SRC`` with
+#: backend="c", or rebuild the task runner of a pickled ProgramSpec
+_FRESH_PROCESS = """
+import json, pickle, sys
+import numpy as np
+from repro.codegen.native import NativeCache
+from repro.compiler import CompileOptions, compile_context
+from repro.runtime import RuntimeEvents
+
+root, what = sys.argv[1], sys.argv[2]
+if what == "compile":
+    events = RuntimeEvents()
+    ctx = compile_context(source=sys.stdin.read(), options=CompileOptions(
+        backend="c", native_cache=NativeCache(root, events=events)))
+    print(json.dumps({
+        "backend": ctx.program.backend,
+        "native_cache_hit": ctx.metrics.get("native_cache_hit"),
+        "quarantined": events.count("cache_quarantined"),
+    }))
+else:
+    spec, y, p = pickle.load(sys.stdin.buffer)
+    run = spec.build_runner()
+    res = np.zeros(spec.num_states + spec.num_partials)
+    run(tuple(range(spec.num_tasks)), 0.1, y, p, res,
+        np.zeros(spec.num_tasks))
+    print(json.dumps({"runner": type(run).__name__, "res": res.tolist()}))
+"""
+
+
+def _in_fresh_process(root, what, stdin: bytes) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(root), what],
+        input=stdin, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def _corrupt(path):
+    """Replace ``path`` with garbage under a new inode: writing in place
+    would SIGBUS any process that has the object mapped."""
+    tmp = path.with_name("garbage.tmp")
+    tmp.write_bytes(b"not an ELF\n")
+    os.replace(tmp, path)
+
+
+@pytest.mark.skipif(find_compiler() is None, reason="no C compiler on PATH")
+class TestCorruptNativeObject:
+    """A ``<key>.so`` the glue cannot open is quarantined and rebuilt —
+    not a permanent fallback to the Python tasks."""
+
+    def compile_c(self, root, events=None):
+        return compile_context(source=_SRC, options=CompileOptions(
+            backend="c", native_cache=NativeCache(root, events=events)))
+
+    def test_fresh_cache_quarantines_and_rebuilds(self, tmp_path):
+        # The key comes from a build under another root: dlopen hands back
+        # the loaded object for a path this process opened before, so the
+        # garbage goes where this process never loaded anything.
+        built = self.compile_c(tmp_path / "built").program.native_module
+        key = built.path.stem
+        root = tmp_path / "native"
+        root.mkdir()
+        _corrupt(root / f"{key}.so")
+
+        events = RuntimeEvents()
+        ctx = self.compile_c(root, events)
+        assert ctx.program.backend == "c"
+        assert "native_unavailable" not in ctx.metrics
+        assert ctx.metrics["native_cache_hit"] is False
+        assert events.count("cache_quarantined") == 1
+        assert events.count("native_build") == 1
+        (bad,) = (root / "quarantine").iterdir()
+        assert bad.read_bytes() == b"not an ELF\n"
+        assert (root / f"{key}.so").read_bytes()[:4] == b"\x7fELF"
+        assert self.compile_c(root).metrics["native_cache_hit"] is True
+
+    def test_fresh_processes_quarantine_rebuild_then_hit(self, tmp_path):
+        root = tmp_path / "native"
+        program = self.compile_c(root).program
+        so = program.native_module.path
+        _corrupt(so)
+
+        first = _in_fresh_process(root, "compile", _SRC.encode())
+        assert first == {
+            "backend": "c", "native_cache_hit": False, "quarantined": 1,
+        }
+        assert len(list((root / "quarantine").iterdir())) == 1
+        second = _in_fresh_process(root, "compile", _SRC.encode())
+        assert second == {
+            "backend": "c", "native_cache_hit": True, "quarantined": 0,
+        }
+
+        # A process-pool worker loads from the same root the same way.
+        _corrupt(so)
+        y, p = program.start_vector(), program.param_vector()
+        spec = program.rebuild_spec()
+        worker = _in_fresh_process(
+            root, "runner", pickle.dumps((spec, y, p))
+        )
+        assert worker["runner"] == "builtin_function_or_method"  # native
+        assert len(list((root / "quarantine").iterdir())) == 2
+        want = program.results_buffer()
+        program.task_runner()(
+            tuple(range(program.num_tasks)), 0.1, y, p, want,
+            np.zeros(program.num_tasks),
+        )
+        assert np.array_equal(np.array(worker["res"]), want)
+        assert not list(root.glob("*.tmp")) and not list(root.glob("*.c"))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX-only flock")
