@@ -16,7 +16,7 @@ from .native import (
 )
 from .gen_numpy import NumpyModule, generate_numpy
 from .gen_python import NameTable, PythonModule, generate_python
-from .program import BACKENDS, GeneratedProgram, generate_program
+from .program import GeneratedProgram, generate_program
 from .startvalues import apply_start_file, read_start_file, write_start_file
 from .tasks import (
     Assignment,
@@ -55,7 +55,6 @@ __all__ = [
     "PythonModule",
     "generate_numpy",
     "generate_python",
-    "BACKENDS",
     "GeneratedProgram",
     "generate_program",
     "apply_start_file",

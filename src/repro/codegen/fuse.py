@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..schedule.task import Task, TaskGraph
+from ..schedule.task import Task, TaskGraph, dependency_levels
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .tasks import TaskBody, TaskPlan
 
@@ -123,26 +123,6 @@ def auto_fuse_threshold(
     return min(floor, max(total / min_tasks, cost_model.task_overhead))
 
 
-def _dependency_levels(graph: TaskGraph) -> list[list[int]]:
-    level: dict[int, int] = {}
-
-    def compute(i: int) -> int:
-        if i in level:
-            return level[i]
-        deps = graph[i].depends_on
-        value = 0 if not deps else 1 + max(compute(d) for d in deps)
-        level[i] = value
-        return value
-
-    for i in range(len(graph)):
-        compute(i)
-    depth = 1 + max(level.values(), default=0)
-    out: list[list[int]] = [[] for _ in range(depth)]
-    for i in range(len(graph)):
-        out[level[i]].append(i)
-    return out
-
-
 def _block_key(
     task: Task, blocks: Mapping[str, int] | None
 ) -> tuple[int, ...]:
@@ -186,7 +166,7 @@ def fuse_plan(
         sum(cost_model.expr_cost(a.expr) * a.count for a in body.assignments)
         for body in plan.bodies
     ]
-    levels = _dependency_levels(plan.graph)
+    levels = dependency_levels(plan.graph)
 
     # -- group per level -------------------------------------------------------
     # Same-level tasks are mutually independent (levels are longest-path

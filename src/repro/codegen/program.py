@@ -5,7 +5,8 @@ serial RHS and per-task functions (Python back end), the task plan and
 graph for the scheduler/runtime, optional analytic Jacobian, start values,
 and the code-size statistics used by the section 3.3 benchmarks.
 
-Three executable back ends are available (``generate_program(backend=...)``):
+Three executable back ends are available (``generate_program(backend=...)``
+or ``compile_model(backend=...)``):
 
 * ``"python"`` — the scalar module only (the default; one float per state,
   ``math`` calls, the target of the threaded runtime),
@@ -33,29 +34,25 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..schedule.task import TaskGraph
-from ..symbolic.diff import jacobian_entries
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .gen_c import NativeSource
-from .gen_numpy import NumpyModule, generate_numpy
-from .gen_python import PythonModule, generate_python
-from .tasks import TaskPlan, partition_tasks, partition_tasks_array
+from .gen_numpy import NumpyModule
+from .gen_python import PythonModule
+from .tasks import TaskPlan
 from .transform import ArraySystem, OdeSystem
-from .verify import VerifyReport, verify_compilable
+from .verify import VerifyReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultInjector
     from .native import NativeModule
 
 __all__ = [
-    "BACKENDS",
     "GeneratedProgram",
     "ProgramSpec",
     "generate_program",
     "run_each",
     "scalarize_reason",
 ]
-
-BACKENDS = ("python", "numpy", "c")
 
 
 #: ``runner(ids, t, y, p, res, times)``: evaluate the tasks of the tuple
@@ -67,10 +64,9 @@ TaskRunner = Callable[..., None]
 def run_each(tasks: Sequence[Callable]) -> TaskRunner:
     """The task runner over per-task callables: one Python call per task.
 
-    Serves the Python backend and any fault-injected task list.  A task's
-    exception propagates unchanged, tagged with that task's id as
-    ``failed_task``, so the pool's worker side can tell which of ``ids``
-    completed before it.
+    Serves the Python backend.  A task's exception propagates unchanged,
+    tagged with that task's id as ``failed_task``, so the pool's worker
+    side can tell which of ``ids`` completed before it.
     """
 
     def run(ids, t, y, p, res, times) -> None:
@@ -85,24 +81,6 @@ def run_each(tasks: Sequence[Callable]) -> TaskRunner:
             raise
 
     return run
-
-
-def _runner(
-    native: "NativeModule | None",
-    tasks: Sequence[Callable],
-    slots: Sequence[Sequence[int]],
-    injector: "FaultInjector | None",
-) -> TaskRunner:
-    """The one rule for which task runner a program gets.
-
-    Native programs run a whole task list in one ``run_tasks`` call;
-    Python programs, and any program under a fault ``injector`` (which
-    wraps each of ``tasks``, given its output ``slots``), take
-    :func:`run_each`.
-    """
-    if injector is not None:
-        return run_each(injector.wrap(tasks, slots))
-    return native.run_tasks if native is not None else run_each(tasks)
 
 
 def scalarize_reason(
@@ -160,12 +138,14 @@ class ProgramSpec:
             self.source, self.num_states, self.num_partials, name=self.name
         )
 
-    def build_runner(self, injector: "FaultInjector | None" = None) -> TaskRunner:
+    def build_runner(self) -> TaskRunner:
         """The task runner (:meth:`GeneratedProgram.task_runner`), rebuilt
-        in the calling interpreter."""
+        in the calling interpreter; a worker under a fault plan wraps it
+        with :meth:`~repro.runtime.FaultInjector.wrap_runner`."""
         native = self._build_native()
-        tasks = native.tasks if native is not None else self.build_module().tasks
-        return _runner(native, tasks, self.task_slots, injector)
+        if native is not None:
+            return native.run_tasks
+        return run_each(self.build_module().tasks)
 
     def _build_native(self) -> "NativeModule | None":
         """The native module, or None for a Python program.
@@ -433,14 +413,17 @@ class GeneratedProgram:
     def task_runner(self, injector: "FaultInjector | None" = None) -> TaskRunner:
         """The one call the executors make to evaluate a task list.
 
-        Native programs run the whole list in one ``run_tasks`` call;
-        Python programs, and any program under a fault ``injector`` (which
-        wraps each task), take :func:`run_each`.
+        Native programs run the whole list in one ``run_tasks`` call,
+        Python programs take :func:`run_each`; a fault ``injector`` wraps
+        either (:meth:`~repro.runtime.FaultInjector.wrap_runner`).
         """
-        return _runner(
-            self.native_module, self.task_callables(), self._all_task_slots(),
-            injector,
+        native = self.native_module
+        run = native.run_tasks if native is not None else run_each(
+            self.module.tasks
         )
+        if injector is None:
+            return run
+        return injector.wrap_runner(run, self._all_task_slots())
 
     def eval_task(
         self, task_id: int, t: float, y: np.ndarray, p: np.ndarray,
@@ -524,7 +507,7 @@ class GeneratedProgram:
 
 
 def generate_program(
-    system: OdeSystem,
+    system: OdeSystem | ArraySystem,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     jacobian: bool = False,
     group_threshold: float | None = None,
@@ -533,86 +516,35 @@ def generate_program(
     backend: str = "python",
     fuse: bool = True,
     fuse_threshold: float | None = None,
-    blocks=None,
 ) -> GeneratedProgram:
-    """Run the full back half of the compiler: verify → partition → emit.
+    """Run the back half of the compiler on an already-built system.
 
     This is the programmatic equivalent of Figure 9's code-generator
     pipeline (compilable-subset verifier, parallelization, CSE, code
-    emission).  ``shared_cse=True`` enables the parallel-CSE task mode
-    (section 3.3's outlook; see :func:`~repro.codegen.tasks.partition_tasks`).
+    emission), and it is the compiler's own: the keywords become a
+    :class:`~repro.compiler.CompileOptions` and the default pass pipeline
+    runs on a context seeded with ``system``.  The front passes skip as
+    "caller supplied an OdeSystem" — an :class:`ArraySystem` that needs
+    scalar equations is expanded by the ``scalarize`` pass — and
+    ``verify`` → ``tasks`` → ``fuse_tasks`` → ``codegen`` →
+    ``link_native`` → ``link`` run as under
+    :func:`~repro.frontend.compile_model`.  With no analysis partition,
+    fusion and the native Jacobian's block order see no SCC blocks.
 
-    ``backend`` selects the executable target: ``"python"`` emits the
-    scalar module only; ``"numpy"`` additionally emits the vectorized
-    module (same task plan, same CSE structure), enabling the batched
-    ``rhs_batch``/``make_rhs_batch``/``make_jac_batch`` entry points;
-    ``"c"`` additionally compiles the tasks natively (content-addressed
-    build cache, sparse SCC-block Jacobian, GIL-releasing task entry
-    points), degrading to the Python module — with
-    ``native_fallback_reason`` set — when no C toolchain is available.
-
-    ``fuse`` runs the task-fusion coarsening of :mod:`repro.codegen.fuse`
-    over the partitioned plan (``fuse_threshold=None`` picks the automatic
-    dispatch-amortising threshold; ``blocks`` optionally supplies the
-    analysis partition's state→SCC-block membership for locality-ordered
-    merging, as the pipeline's ``fuse_tasks`` pass does).
+    The keywords are those of ``compile_model``: ``backend="numpy"`` adds
+    the vectorized module, ``backend="c"`` the native one (degrading to
+    Python with ``native_fallback_reason`` set when no C toolchain is
+    available), ``fuse=False`` disables task fusion.
     """
-    if backend not in BACKENDS:
-        from ..compiler.context import unknown_backend_message
+    from ..compiler.context import CompilationContext, CompileOptions
+    from ..compiler.passes import build_default_manager
 
-        raise ValueError(unknown_backend_message(backend))
-    if isinstance(system, ArraySystem) and scalarize_reason(
-        jacobian, shared_cse, backend
-    ):
-        # expand gracefully rather than reject
-        system = system.expand()
-    report = verify_compilable(system)
-    if isinstance(system, ArraySystem):
-        plan = partition_tasks_array(
-            system, cost_model=cost_model, group_threshold=group_threshold
-        )
-    else:
-        plan = partition_tasks(
-            system,
-            cost_model=cost_model,
-            group_threshold=group_threshold,
-            split_threshold=split_threshold,
-            shared_cse=shared_cse,
-        )
-    if fuse:
-        from .fuse import fuse_plan
-
-        plan, _ = fuse_plan(
-            plan, cost_model=cost_model, threshold=fuse_threshold,
-            blocks=blocks,
-        )
-    jac_entries = (
-        jacobian_entries(system.rhs, system.state_names) if jacobian else None
+    options = CompileOptions(
+        cost_model=cost_model, jacobian=jacobian,
+        group_threshold=group_threshold, split_threshold=split_threshold,
+        shared_cse=shared_cse, backend=backend, fuse=fuse,
+        fuse_threshold=fuse_threshold,
     )
-    module = generate_python(
-        system, plan=plan, jacobian=jacobian, jac_entries=jac_entries
-    )
-    vector_module = None
-    if backend == "numpy":
-        vector_module = generate_numpy(
-            system, plan=plan, jacobian=jacobian, jac_entries=jac_entries
-        )
-    native_module = None
-    native_fallback = None
-    if backend == "c":
-        from .gen_c import generate_c_tasks
-        from .native import NativeUnavailable, build_native_module
-
-        native_source = generate_c_tasks(
-            system, plan=plan, jacobian=jacobian, blocks=blocks,
-            jac_entries=jac_entries,
-        )
-        try:
-            native_module, _ = build_native_module(native_source)
-        except NativeUnavailable as exc:
-            native_fallback = exc.reason
-    return GeneratedProgram(
-        system=system, plan=plan, module=module, verify_report=report,
-        vector_module=vector_module, native_module=native_module,
-        native_fallback_reason=native_fallback,
-    )
+    ctx = CompilationContext(options=options, system=system)
+    build_default_manager().run(ctx)
+    return ctx.program

@@ -13,7 +13,7 @@ flatten        (model)                    flat
 typecheck      flat                       types
 fingerprint    flat                       model_hash, cache_key
 cache-lookup   flat                       (partition … vector_module)
-scalarize      flat                       flat (scalar)
+scalarize      flat | system              flat | system (scalar)
 partition      flat                       partition
 transform      flat                       system
 verify         system                     verify_report
@@ -30,14 +30,19 @@ cache-store    program                    —
 unit, and the native pass re-``dlopen``-s the machine-local build
 product — or rebuilds it once if this machine has never seen the model);
 ``parse``/``flatten`` are skipped when the caller already supplies a
-model / flat model.  With ``jacobian=True`` the ``codegen`` pass derives
-the analytic Jacobian once (:func:`~repro.symbolic.diff.jacobian_entries`)
-and hands the same entries to every printer.  ``scalarize`` only acts on
-array flat models whose array path cannot serve the compile: a flatten
-fallback, no instance families, or a feature that needs scalar equations
+model / flat model.  A context seeded with the ODE system itself
+(:func:`~repro.codegen.program.generate_program`) skips the whole front
+half — ``parse`` through ``transform`` and both cache passes — as
+"caller supplied an OdeSystem", and runs ``verify`` onwards.  With
+``jacobian=True`` the ``codegen`` pass derives the analytic Jacobian once
+(:func:`~repro.symbolic.diff.jacobian_entries`) and hands the same
+entries to every printer.  ``scalarize`` only acts on an array artifact
+whose array path cannot serve the compile: a flatten fallback, no
+instance families, or a feature that needs scalar equations
 (:func:`~repro.codegen.program.scalarize_reason`: analytic Jacobian,
-shared CSE, ``backend="c"``).  It lowers back to the scalar enumeration
-and the rest of the pipeline proceeds classically.
+shared CSE, ``backend="c"``).  It lowers an array flat model back to the
+scalar enumeration, or expands a seeded array system, and the rest of
+the pipeline proceeds classically.
 
 The driver functions at the bottom (:func:`compile_context`,
 :func:`build_default_manager`) are what the :mod:`repro.frontend` facade
@@ -71,6 +76,19 @@ __all__ = [
 # Pass bodies
 # ---------------------------------------------------------------------------
 
+#: why the front half skips on a context seeded with the ODE system
+_SEEDED = "caller supplied an OdeSystem"
+
+
+def _seeded(ctx: CompilationContext) -> bool:
+    """True when the caller handed in the ODE system itself and no flat
+    model: there is nothing to parse, flatten, check, analyse or cache."""
+    return ctx.flat is None and ctx.system is not None
+
+
+def _skip_when_seeded(ctx: CompilationContext) -> str | None:
+    return _SEEDED if _seeded(ctx) else None
+
 
 def _run_parse(ctx: CompilationContext) -> None:
     from ..language import load_model
@@ -79,6 +97,8 @@ def _run_parse(ctx: CompilationContext) -> None:
 
 
 def _skip_parse(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
     if ctx.source is None:
         return "no source text (programmatic model)"
     return None
@@ -89,6 +109,8 @@ def _run_flatten(ctx: CompilationContext) -> None:
 
 
 def _skip_flatten(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
     if ctx.flat is not None:
         return "caller supplied a flat model"
     return None
@@ -135,6 +157,8 @@ def _run_cache_lookup(ctx: CompilationContext) -> None:
 
 
 def _skip_when_no_cache(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
     if ctx.options.cache is None:
         return "caching disabled"
     return None
@@ -146,32 +170,39 @@ def _skip_when_cached(ctx: CompilationContext) -> str | None:
     return None
 
 
-def _scalarize_trigger(
-    flat: ArrayFlatModel, options: CompileOptions
-) -> str | None:
+def _skip_front(ctx: CompilationContext) -> str | None:
+    return _skip_when_seeded(ctx) or _skip_when_cached(ctx)
+
+
+def _scalarize_trigger(ctx: CompilationContext) -> str | None:
     """Why the array path cannot serve this compile (None = it can)."""
-    if flat.fallback_reason:
+    flat = ctx.flat
+    if flat is not None and flat.fallback_reason:
         return f"flatten fallback: {flat.fallback_reason}"
-    if not flat.groups:
+    if flat is not None and not flat.groups:
         return "no instance families"
-    return scalarize_reason(
-        options.jacobian, options.shared_cse, options.backend
-    )
+    opts = ctx.options
+    return scalarize_reason(opts.jacobian, opts.shared_cse, opts.backend)
 
 
 def _run_scalarize(ctx: CompilationContext) -> None:
-    reason = _scalarize_trigger(ctx.flat, ctx.options)
     ctx.metrics["scalarized"] = True
-    ctx.metrics["scalarize_reason"] = reason
-    ctx.flat = ctx.flat.scalarize()
+    ctx.metrics["scalarize_reason"] = _scalarize_trigger(ctx)
+    if _seeded(ctx):
+        ctx.system = ctx.system.expand()
+    else:
+        ctx.flat = ctx.flat.scalarize()
 
 
 def _skip_scalarize(ctx: CompilationContext) -> str | None:
     if ctx.cache_hit:
         return "artifact cache hit"
-    if not isinstance(ctx.flat, ArrayFlatModel):
+    if _seeded(ctx):
+        if not isinstance(ctx.system, ArraySystem):
+            return _SEEDED
+    elif not isinstance(ctx.flat, ArrayFlatModel):
         return "scalar flat model"
-    if _scalarize_trigger(ctx.flat, ctx.options) is None:
+    if _scalarize_trigger(ctx) is None:
         return "array path supported end-to-end"
     return None
 
@@ -226,23 +257,11 @@ def _run_fuse_tasks(ctx: CompilationContext) -> None:
     from ..codegen.fuse import fuse_plan
 
     opts = ctx.options
-    blocks = None
-    if ctx.partition is not None:
-        part = ctx.partition
-        if isinstance(part, ArrayPartition) and not isinstance(
-            ctx.system, ArraySystem
-        ):
-            # Array analysis but scalar plan (scalarize ran after
-            # partition was cached, or the caller mixed artifacts):
-            # expand set vertices to scalar names so block keys match.
-            blocks = part.expanded_membership()
-        else:
-            blocks = part.membership
     ctx.plan, stats = fuse_plan(
         ctx.plan,
         cost_model=opts.cost_model,
         threshold=opts.fuse_threshold,
-        blocks=blocks,
+        blocks=_scc_blocks(ctx),
     )
     ctx.metrics["num_tasks"] = ctx.plan.num_tasks
     ctx.metrics["fuse_tasks_before"] = stats.tasks_before
@@ -260,13 +279,17 @@ def _skip_fuse(ctx: CompilationContext) -> str | None:
 
 
 def _scc_blocks(ctx: CompilationContext) -> dict[str, int] | None:
-    """State-name → SCC-block membership for the current plan's names."""
+    """State-name → SCC-block membership for the current plan's names
+    (None without an analysis partition, as for a seeded system)."""
     if ctx.partition is None:
         return None
     part = ctx.partition
     if isinstance(part, ArrayPartition) and not isinstance(
         ctx.system, ArraySystem
     ):
+        # Array analysis but scalar plan (scalarize ran after partition
+        # was cached, or the caller mixed artifacts): expand set vertices
+        # to scalar names so block keys match.
         return part.expanded_membership()
     return part.membership
 
@@ -381,6 +404,8 @@ def _run_cache_store(ctx: CompilationContext) -> None:
 
 
 def _skip_store(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
     if ctx.options.cache is None:
         return "caching disabled"
     if ctx.cache_hit:
@@ -406,28 +431,31 @@ def build_default_manager() -> PassManager:
              skip_when=_skip_flatten),
         Pass("typecheck", _run_typecheck, requires=("flat",),
              provides=("types",),
-             description="type derivation and structural checking"),
+             description="type derivation and structural checking",
+             skip_when=_skip_when_seeded),
         Pass("fingerprint", _run_fingerprint, requires=("flat",),
              provides=("model_hash", "cache_key"),
-             description="content hash of flat model + codegen options"),
+             description="content hash of flat model + codegen options",
+             skip_when=_skip_when_seeded),
         Pass("cache-lookup", _run_cache_lookup, requires=("cache_key",),
              provides=("partition", "system", "verify_report", "plan",
                        "module", "vector_module", "native_source"),
              description="restore artifacts on a content-hash hit",
              skip_when=_skip_when_no_cache),
-        Pass("scalarize", _run_scalarize, requires=("flat",),
-             provides=("flat",),
-             description="lower array flat model to scalar enumeration "
-                         "when the array path can't serve the options",
+        Pass("scalarize", _run_scalarize, requires=(),
+             provides=("flat", "system"),
+             description="lower an array flat model (or seeded array "
+                         "system) to scalar equations when the array "
+                         "path can't serve the options",
              skip_when=_skip_scalarize),
         Pass("partition", _run_analysis_partition, requires=("flat",),
              provides=("partition",),
              description="dependency graph → SCC partition + levels",
-             skip_when=_skip_when_cached),
+             skip_when=_skip_front),
         Pass("transform", _run_transform, requires=("flat",),
              provides=("system",),
              description="expression transformer → explicit ODE system",
-             skip_when=_skip_when_cached),
+             skip_when=_skip_front),
         Pass("verify", _run_verify, requires=("system",),
              provides=("verify_report",),
              description="compilable-subset verifier",

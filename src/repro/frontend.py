@@ -54,6 +54,19 @@ class CompiledModel:
     #: instances; always set by compile_model/compile_source)
     report: PipelineReport | None = field(default=None, compare=False)
 
+    @classmethod
+    def from_context(cls, ctx) -> "CompiledModel":
+        """The artifacts of a pipeline run, with its report."""
+        return cls(
+            model=ctx.model,
+            flat=ctx.flat,
+            types=ctx.types,
+            partition=ctx.partition,
+            system=ctx.system,
+            program=ctx.program,
+            report=PipelineReport.from_context(ctx),
+        )
+
     @property
     def name(self) -> str:
         return self.flat.name
@@ -131,15 +144,7 @@ def compile_model(
         ctx = compile_context(flat=model, options=options)
     else:
         ctx = compile_context(model=model, options=options)
-    return CompiledModel(
-        model=ctx.model,
-        flat=ctx.flat,
-        types=ctx.types,
-        partition=ctx.partition,
-        system=ctx.system,
-        program=ctx.program,
-        report=PipelineReport.from_context(ctx),
-    )
+    return CompiledModel.from_context(ctx)
 
 
 #: keyword arguments compile_source may forward to compile_model
@@ -168,12 +173,4 @@ def compile_source(
     ctx = compile_context(
         source=source, options=options, extra_classes=extra_classes
     )
-    return CompiledModel(
-        model=ctx.model,
-        flat=ctx.flat,
-        types=ctx.types,
-        partition=ctx.partition,
-        system=ctx.system,
-        program=ctx.program,
-        report=PipelineReport.from_context(ctx),
-    )
+    return CompiledModel.from_context(ctx)

@@ -1,10 +1,10 @@
-"""Deterministic, scriptable fault injection for generated task functions.
+"""Deterministic, scriptable fault injection for generated tasks.
 
 The supervisor/worker protocol (section 3.2.3) assumes every worker
 evaluates its partition successfully every round.  To test and benchmark
 the fault-tolerance machinery that drops that assumption, a
-:class:`FaultInjector` wraps the generated per-task functions and fires
-scripted :class:`FaultSpec` entries:
+:class:`FaultInjector` wraps a program's task runner and fires scripted
+:class:`FaultSpec` entries on the tasks it runs:
 
 ``raise``
     raise :class:`InjectedFault` instead of computing,
@@ -37,14 +37,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .events import RuntimeEvents
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..codegen.program import GeneratedProgram
 
 __all__ = [
     "FAULT_MODES",
@@ -133,10 +130,10 @@ class FaultSpec:
 
 
 class FaultInjector:
-    """Wraps generated task functions to fire scripted faults.
+    """Wraps a task runner to fire scripted faults.
 
     The executor calls :meth:`begin_round` once per RHS evaluation and
-    runs tasks through :meth:`wrap_tasks`; everything else is bookkeeping.
+    runs tasks through :meth:`wrap_runner`; everything else is bookkeeping.
     """
 
     def __init__(
@@ -195,9 +192,8 @@ class FaultInjector:
             self.round_index += 1
             return self.round_index
 
-    def _claim(self, task_id: int) -> FaultSpec | None:
+    def _claim(self, task_id: int, worker: int | None) -> FaultSpec | None:
         """Find, and atomically consume one firing of, a matching spec."""
-        worker = current_worker_id()
         with self._lock:
             for i, spec in enumerate(self.plan):
                 if spec.task_id != task_id:
@@ -216,66 +212,72 @@ class FaultInjector:
                 return spec
         return None
 
-    def wrap_tasks(
-        self, program: "GeneratedProgram"
-    ) -> list[Callable[[float, np.ndarray, np.ndarray, np.ndarray], None]]:
-        """Return the program's task functions wrapped with fault hooks."""
-        return self.wrap(
-            program.task_callables(),
-            [program.task_output_slots(tid)
-             for tid in range(program.num_tasks)],
-        )
+    def wrap_runner(self, runner: Callable, slots: Sequence[Sequence[int]]):
+        """Wrap a task runner, ``runner(ids, t, y, p, res, times)``, with
+        the fault hooks; ``slots[tid]`` are task ``tid``'s output slots.
 
-    def wrap(self, tasks: Sequence[Callable], slots: Sequence[Sequence[int]]):
-        """Wrap task functions given as plain callables plus their output
-        slots — all a worker process has of the program."""
-        return [
-            self._wrap_one(tid, fn, slots[tid])
-            for tid, fn in enumerate(tasks)
-        ]
+        Specs are claimed per task in list order.  Each span of unfaulted
+        tasks goes to ``runner`` in one call, so a list with nothing armed
+        is one call of the real runner (one ``run_tasks`` FFI call for a
+        native program).  A claimed task takes its fault instead: see
+        :meth:`_fire`.
+        """
 
-    def _wrap_one(self, task_id: int, fn, slots):
-        def task(t: float, y: np.ndarray, p: np.ndarray,
-                 res: np.ndarray) -> None:
-            spec = self._claim(task_id)
-            if spec is None:
-                fn(t, y, p, res)
-                return
-            if self.events is not None:
-                self.events.record(
-                    "fault_injected", task=task_id, mode=spec.mode,
-                    round=self.round_index, worker=current_worker_id(),
-                )
-            if spec.mode == "raise":
-                raise InjectedFault(
-                    f"injected failure in task {task_id} "
-                    f"(round {self.round_index})"
-                )
-            if spec.mode == "kill":
-                raise WorkerKill(
-                    f"injected worker kill in task {task_id} "
-                    f"(round {self.round_index})"
-                )
-            if spec.mode == "hang":
-                time.sleep(spec.hang_seconds)
-                fn(t, y, p, res)
-                return
-            # Silent output faults: compute, then poison the output slots.
-            fn(t, y, p, res)
-            if spec.mode == "nan":
-                for s in slots:
-                    res[s] = np.nan
-            elif spec.mode == "inf":
-                for s in slots:
-                    res[s] = np.inf
-            else:  # corrupt
-                target = (spec.corrupt_slot if spec.corrupt_slot is not None
-                          else (slots[0] if slots else None))
-                if target is not None:
-                    res[target] = spec.corrupt_value
+        def run(ids, t, y, p, res, times) -> None:
+            worker = current_worker_id()
+            start = 0
+            for i, tid in enumerate(ids):
+                spec = self._claim(tid, worker)
+                if spec is None:
+                    continue
+                if start < i:
+                    runner(ids[start:i], t, y, p, res, times)
+                start = i + 1
+                self._fire(spec, tid, worker, runner, slots[tid],
+                           (t, y, p, res, times))
+            if start < len(ids):
+                runner(ids[start:], t, y, p, res, times)
 
-        task.__name__ = f"faulty_task_{task_id}"
-        return task
+        return run
+
+    def _fire(self, spec: FaultSpec, task_id: int, worker: int | None,
+              runner: Callable, slots: Sequence[int], args: tuple) -> None:
+        """Apply ``spec`` to ``task_id``: ``raise`` and ``kill`` raise,
+        tagged with ``failed_task`` as a per-task runner tags a task's
+        exception; ``hang`` sleeps, then runs the task (timed as one slow
+        task); the output faults run it, then poison its ``slots``."""
+        if self.events is not None:
+            self.events.record(
+                "fault_injected", task=task_id, mode=spec.mode,
+                round=self.round_index, worker=worker,
+            )
+        if spec.mode in ("raise", "kill"):
+            kind, what = ((InjectedFault, "failure") if spec.mode == "raise"
+                          else (WorkerKill, "worker kill"))
+            exc = kind(f"injected {what} in task {task_id} "
+                       f"(round {self.round_index})")
+            exc.failed_task = task_id
+            raise exc
+        t, y, p, res, times = args
+        if spec.mode == "hang":
+            started = time.perf_counter()
+            time.sleep(spec.hang_seconds)
+            runner((task_id,), t, y, p, res, times)
+            times[task_id] = time.perf_counter() - started
+            return
+        # Silent output faults: compute, then poison the output slots.
+        runner((task_id,), t, y, p, res, times)
+        if spec.mode == "nan":
+            for s in slots:
+                res[s] = np.nan
+        elif spec.mode == "inf":
+            for s in slots:
+                res[s] = np.inf
+        else:  # corrupt
+            target = (spec.corrupt_slot if spec.corrupt_slot is not None
+                      else (slots[0] if slots else None))
+            if target is not None:
+                res[target] = spec.corrupt_value
 
     # -- introspection ----------------------------------------------------------
 

@@ -26,7 +26,8 @@ show it must be for object-level parallelism to pay off:
   from its :class:`~repro.codegen.program.ProgramSpec` — source text plus
   layout integers — in its own interpreter at startup, and builds its own
   :class:`~repro.runtime.faults.FaultInjector` from the pickled plan and
-  its own task runner (:meth:`ProgramSpec.build_runner`).
+  its own task runner (:meth:`ProgramSpec.build_runner`), which the
+  injector wraps.
 
 Liveness
 --------
@@ -229,6 +230,7 @@ def _worker_main(
                      name=f"heartbeat-{worker_id}").start()
 
     injector = fired = None
+    run = spec.build_runner()
     if fault_plan:
         # Worker-local burn-out counters: process pools cannot share the
         # supervisor's injector, so un-pinned specs burn out
@@ -236,7 +238,7 @@ def _worker_main(
         # carried home in the reply.
         fired = RuntimeEvents()
         injector = FaultInjector(fault_plan, events=fired)
-    run = spec.build_runner(injector)
+        run = injector.wrap_runner(run, spec.task_slots)
     bufs = _Buffers(blocks.y, blocks.p, blocks.res, blocks.kst, blocks.sres)
 
     while True:

@@ -70,6 +70,7 @@ import numpy as np
 
 from ..codegen.program import GeneratedProgram
 from ..schedule.lpt import Schedule, lpt_schedule
+from ..schedule.task import dependency_levels
 from .events import RuntimeEvents
 from .faults import WORKER_THREAD_PREFIX, FaultInjector, WorkerKill
 
@@ -80,28 +81,6 @@ __all__ = [
     "ThreadedExecutor",
     "dependency_levels",
 ]
-
-
-def dependency_levels(graph) -> list[list[int]]:
-    """Group task ids into topological levels (same level = no mutual
-    dependencies; levels execute as barrier-separated phases)."""
-    level: dict[int, int] = {}
-
-    def compute(i: int) -> int:
-        if i in level:
-            return level[i]
-        deps = graph[i].depends_on
-        value = 0 if not deps else 1 + max(compute(d) for d in deps)
-        level[i] = value
-        return value
-
-    for i in range(len(graph)):
-        compute(i)
-    depth = 1 + max(level.values(), default=0)
-    out: list[list[int]] = [[] for _ in range(depth)]
-    for i in range(len(graph)):
-        out[level[i]].append(i)
-    return out
 
 
 class TaskFailure(RuntimeError):
@@ -529,6 +508,16 @@ class _PoolExecutor:
         self._mark_dead(worker_id, "pipe closed")
         return False
 
+    def _log_fired(self, reply: _Reply | None) -> None:
+        """Log the faults a worker-side injector fired for ``reply``.
+
+        Called on every reply read, before any is dropped as stale: the
+        faults in a dropped reply fired all the same.
+        """
+        if reply is not None:
+            for fired in reply.fired:
+                self.events.record("fault_injected", **fired)
+
     # -- inline execution ---------------------------------------------------------
 
     def _validate_task_outputs(self, tid: int, res: np.ndarray) -> None:
@@ -669,6 +658,7 @@ class _PoolExecutor:
                 continue
 
             for w, reply in arrived:
+                self._log_fired(reply)
                 if w not in outstanding:
                     continue
                 if reply is None:
@@ -677,8 +667,6 @@ class _PoolExecutor:
                 if reply.epoch != epoch or reply.worker != w:
                     continue  # stale reply from an abandoned dispatch
                 task_ids = outstanding.pop(w)
-                for fired in reply.fired:
-                    self.events.record("fault_injected", **fired)
                 completed = reply.completed
                 error, failed_tid = reply.error, reply.failed_tid
 
@@ -875,12 +863,11 @@ class _PoolExecutor:
                 )
                 ok = False
             for w, reply in arrived:
+                self._log_fired(reply)
                 if (reply is None or w not in waiting
                         or reply.epoch != epoch or reply.worker != w):
                     continue  # straggler from an abandoned dispatch
                 waiting.discard(w)
-                for fired in reply.fired:
-                    self.events.record("fault_injected", **fired)
                 if reply.error is not None:
                     ok = False
                     if not isinstance(reply.error,
@@ -936,6 +923,7 @@ class _PoolExecutor:
                 if not arrived:
                     waiting = {w for w in waiting if transport.alive(w)}
                 for w, reply in arrived:
+                    self._log_fired(reply)
                     if reply is None or (reply.epoch == job.epoch
                                          and reply.worker == w):
                         waiting.discard(w)

@@ -4,7 +4,7 @@ from .listsched import DagSchedule, list_schedule
 from .lpt import Schedule, lpt_schedule
 from .metrics import graham_bound, makespan_lower_bound, speedup_estimate
 from .semidynamic import SemiDynamicScheduler
-from .task import Task, TaskGraph
+from .task import Task, TaskGraph, dependency_levels
 
 __all__ = [
     "DagSchedule",
@@ -17,4 +17,5 @@ __all__ = [
     "SemiDynamicScheduler",
     "Task",
     "TaskGraph",
+    "dependency_levels",
 ]

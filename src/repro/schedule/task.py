@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-__all__ = ["Task", "TaskGraph"]
+__all__ = ["Task", "TaskGraph", "dependency_levels"]
 
 
 @dataclass
@@ -134,3 +134,26 @@ class TaskGraph:
                 for t, w in zip(self.tasks, weights)
             ]
         )
+
+
+def dependency_levels(graph: TaskGraph) -> list[list[int]]:
+    """Group task ids into topological levels (same level = no mutual
+    dependencies; levels execute as barrier-separated phases, and task
+    fusion merges only within one)."""
+    level: dict[int, int] = {}
+
+    def compute(i: int) -> int:
+        if i in level:
+            return level[i]
+        deps = graph[i].depends_on
+        value = 0 if not deps else 1 + max(compute(d) for d in deps)
+        level[i] = value
+        return value
+
+    for i in range(len(graph)):
+        compute(i)
+    depth = 1 + max(level.values(), default=0)
+    out: list[list[int]] = [[] for _ in range(depth)]
+    for i in range(len(graph)):
+        out[level[i]].append(i)
+    return out

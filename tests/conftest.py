@@ -13,6 +13,22 @@ from repro.apps import (
 from repro.frontend import compile_model
 
 
+@pytest.fixture(scope="module")
+def intern_table_restored():
+    """Put the hash-cons table back when a module that clears it is done.
+
+    A clear drops identity with every node built before it; later modules
+    build from module-level symbols and session-scoped models and assert
+    ``is`` on what they get back (``Der(x).expr is x``).
+    """
+    from repro.symbolic.expr import _INTERN
+
+    snapshot = dict(_INTERN)
+    yield
+    _INTERN.clear()
+    _INTERN.update(snapshot)
+
+
 @pytest.fixture(scope="session")
 def oscillator_model():
     """Two independent harmonic oscillators (programmatic model)."""

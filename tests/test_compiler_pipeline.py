@@ -25,7 +25,18 @@ from repro.apps import (
     build_powerplant,
     build_servo,
 )
-from repro.codegen import generate_program, make_ode_system
+from repro.codegen import (
+    ArraySystem,
+    GeneratedProgram,
+    generate_numpy,
+    generate_program,
+    generate_python,
+    make_array_system,
+    make_ode_system,
+    partition_tasks,
+    verify_compilable,
+)
+from repro.codegen.fuse import fuse_plan
 from repro.compiler import (
     ArtifactCache,
     CACHE_SKIPPED_PASSES,
@@ -42,6 +53,9 @@ from repro.compiler import (
 from repro.frontend import compile_model, compile_source
 from repro.model import check_types
 
+#: tests here call intern_cache_clear()
+pytestmark = pytest.mark.usefixtures("intern_table_restored")
+
 
 _BUILDERS = {
     "servo": build_servo,
@@ -54,14 +68,21 @@ _BUILDERS = {
 
 
 def _monolith_compile(model, backend):
-    """The pre-refactor frontend.compile_model, inlined verbatim (plus the
-    fuse_tasks coarsening both paths now run, fed the same SCC blocks)."""
+    """The pre-refactor frontend.compile_model with its back half, inlined
+    verbatim (plus the fuse_tasks coarsening both paths now run, fed the
+    same SCC blocks) — an oracle independent of the pass pipeline."""
     flat = model.flatten()
     check_types(flat)
     part = partition(flat)
     system = make_ode_system(flat)
-    return generate_program(system, backend=backend,
-                            blocks=part.membership)
+    report = verify_compilable(system)
+    plan, _ = fuse_plan(partition_tasks(system), blocks=part.membership)
+    return GeneratedProgram(
+        system=system, plan=plan, module=generate_python(system, plan=plan),
+        verify_report=report,
+        vector_module=(generate_numpy(system, plan=plan)
+                       if backend == "numpy" else None),
+    )
 
 
 class TestMonolithEquivalence:
@@ -92,6 +113,43 @@ class TestMonolithEquivalence:
             [t.weight for t in old.task_graph]
         assert new.verify_report == old.verify_report
         assert new.plan.partial_slots == old.plan.partial_slots
+
+
+class TestSeededSystem:
+    """generate_program is the default pipeline on a context seeded with
+    the ODE system: the front half skips by rule, the back half runs."""
+
+    FRONT = {"parse", "flatten", "typecheck", "fingerprint", "cache-lookup",
+             "scalarize", "partition", "transform", "cache-store"}
+
+    def test_front_passes_skip_as_caller_supplied(self):
+        system = make_ode_system(build_servo().flatten())
+        ctx = CompilationContext(system=system)
+        build_default_manager().run(ctx)
+        skipped = ctx.metrics["passes_skipped"]
+        assert set(skipped) == self.FRONT | {"link_native"}
+        assert {skipped[name] for name in self.FRONT} == {
+            "caller supplied an OdeSystem"
+        }
+        assert ctx.metrics["passes_ran"] == [
+            "verify", "tasks", "fuse_tasks", "codegen", "link",
+        ]
+
+    def test_array_system_is_expanded_only_when_a_feature_needs_it(self):
+        flat = build_bearing2d(BearingParams(num_rollers=4)).flatten(
+            mode="array"
+        )
+        array = make_array_system(flat)
+        assert isinstance(generate_program(array).system, ArraySystem)
+        program = generate_program(array, jacobian=True)
+        assert program.system.state_names == array.expand().state_names
+        assert not isinstance(program.system, ArraySystem)
+        assert program.make_jac() is not None
+
+    def test_options_are_validated(self):
+        system = make_ode_system(build_servo().flatten())
+        with pytest.raises(ValueError, match="unknown backend"):
+            generate_program(system, backend="fortran")
 
 
 class TestPassManager:

@@ -33,6 +33,9 @@ from repro.symbolic.serialize import (
 
 from .strategies import structural_expressions
 
+#: tests here call intern_cache_clear()
+pytestmark = pytest.mark.usefixtures("intern_table_restored")
+
 
 def _through_json(obj):
     return json.loads(json.dumps(obj))

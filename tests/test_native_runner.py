@@ -3,17 +3,18 @@
 Every executor evaluates a task list through one call,
 ``runner(ids, t, y, p, res, times)``.  A ``backend="c"`` program's runner
 is the generated ``run_tasks`` entry (one foreign call, one GIL release,
-for a whole list); Python programs and fault-injected programs take
-``run_each``, the per-task loop.  These tests hold the batch path to the
-per-task one: bit-identical solves across executor × fusion × K, the
-per-task times the semi-dynamic scheduler feeds on (assigned in plain
-rounds, accumulated in K-stage chunks), the in-chunk barrier a worker
-with an empty level must still reach, a reloaded unit, and the fault
-ladder under K-stage chunks.
+for a whole list); Python programs take ``run_each``, the per-task loop;
+a fault injector wraps either and still hands every unfaulted span to
+the real runner.  These tests hold the batch path to the per-task one:
+bit-identical solves across executor × fusion × K, the per-task times the
+semi-dynamic scheduler feeds on (assigned in plain rounds, accumulated in
+K-stage chunks), the in-chunk barrier a worker with an empty level must
+still reach, a reloaded unit, and the fault ladder under K-stage chunks.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 
@@ -114,7 +115,7 @@ def _stages(program, executor, schedule=None):
     return k
 
 
-# -- the runner is the batch entry, unless an injector wraps the tasks ----------
+# -- the runner is the batch entry, under an injector too ------------------------
 
 
 @needs_cc
@@ -122,8 +123,55 @@ def test_native_programs_run_tasks_in_one_call(programs):
     program = programs("bearing2d")
     native = program.native_module
     assert program.task_runner() is native.run_tasks
-    # A fault plan wraps each task, so it takes the per-task loop.
+    # A fault plan wraps the runner.
     assert program.task_runner(FaultInjector()) is not native.run_tasks
+
+
+def _counting(program):
+    """``program`` with a native module whose every task-runner call, batch
+    or one-task, goes through a recorder; returns (program, calls)."""
+    native = copy.copy(program.native_module)
+    run_tasks, calls = native.run_tasks, []
+
+    def counted(ids, t, y, p, res, times):
+        calls.append(tuple(ids))
+        run_tasks(ids, t, y, p, res, times)
+
+    scratch = np.empty(program.num_tasks)
+    native.run_tasks = counted
+    native.tasks = [
+        lambda t, y, p, res, ids=(k,): counted(ids, t, y, p, res, scratch)
+        for k in range(program.num_tasks)
+    ]
+    return dataclasses.replace(program, native_module=native), calls
+
+
+@needs_cc
+def test_injected_levels_stay_one_run_tasks_call(programs):
+    """Under an injector, a level with nothing armed is one ``run_tasks``
+    call; an armed task splits its level around itself."""
+    program, calls = _counting(programs("bearing2d-10"))
+    levels = dependency_levels(program.task_graph)
+    y, p = program.start_vector(), program.param_vector()
+    expected = program.results_buffer()
+    SerialExecutor(program).evaluate(0.0, y, p, expected)
+
+    first = tuple(levels[0])
+    tid = first[len(first) // 2]
+    injector = FaultInjector([FaultSpec(task_id=tid, mode="corrupt",
+                                        round_index=1)])
+    with ThreadedExecutor(program, 1, injector=injector) as executor:
+        calls.clear()
+        res = program.results_buffer()
+        executor.evaluate(0.0, y, p, res)  # round 0: nothing armed
+        assert calls == [tuple(level) for level in levels]
+        assert np.array_equal(res, expected)
+
+        calls.clear()
+        executor.evaluate(0.0, y, p, program.results_buffer())  # round 1
+        at = first.index(tid)
+        split = [s for s in (first[:at], (tid,), first[at + 1:]) if s]
+        assert calls == split + [tuple(level) for level in levels[1:]]
 
 
 @needs_cc
@@ -148,13 +196,14 @@ def test_run_tasks_equals_per_task_calls(programs, model):
 @pytest.fixture(scope="module")
 def per_task_solution(programs):
     """The per-task reference: a serial solve whose runner is the
-    per-task loop (an injector with an empty plan wraps every task)."""
+    per-task loop over the one-task native calls."""
     cache: dict = {}
 
     def get(model: str):
         if model not in cache:
             program = programs(model)
-            executor = SerialExecutor(program, injector=FaultInjector())
+            executor = SerialExecutor(program)
+            executor._run = run_each(program.task_callables())
             cache[model] = _solve(program, executor, 1, SPANS[model])
         return cache[model]
 

@@ -509,6 +509,24 @@ class TestCoreOverFakeTransport:
             assert np.array_equal(_evaluate(pool, program), reference)
             assert pool.events.total_recorded == 0
 
+    def test_stale_reply_still_logs_its_fired_faults(self, program,
+                                                     reference):
+        """A process worker's injector sends what fired home in its reply;
+        the faults in a reply dropped as stale fired all the same."""
+        fired = {"task": 0, "mode": "nan", "round": 0, "worker": 0}
+        pending = [fired]
+
+        def script(transport, worker, job, reply):
+            stale = reply._replace(epoch=reply.epoch - 1,
+                                   fired=tuple(pending))
+            pending.clear()
+            return [stale, reply]
+
+        with FakePool(program, 2, script) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert self.kinds(pool) == ["fault_injected"]
+            assert pool.events.of_kind("fault_injected")[0].data == fired
+
     def test_end_of_stream_and_failed_send(self, program, reference):
         def eof(transport, worker, job, reply):
             if worker == 0:
@@ -588,6 +606,32 @@ class TestCoreOverFakeTransport:
             assert pool._transport.aborted == list(chunk_epochs)
             assert pool.last_times_rounds == 1
 
+    def test_chunk_straggler_still_logs_its_fired_faults(self, program):
+        """Worker 1's broken-barrier reply ends the chunk before worker 0's
+        reply, which carries the fault that broke it, is read; that reply
+        turns up as a straggler during the replay."""
+        expected = self._stages(SerialExecutor(program), program)
+        fired = {"task": 3, "mode": "raise", "round": 1, "worker": 0}
+        held = []
+
+        def script(transport, worker, job, reply):
+            if not job.stop:
+                late, held[:] = list(held), []
+                return late + [reply]
+            if worker == 0:
+                held.append(reply._replace(
+                    error=InjectedFault("scripted"), failed_tid=3,
+                    fired=(fired,),
+                ))
+                return []
+            return [reply._replace(error=threading.BrokenBarrierError())]
+
+        with FakePool(program, 2, script) as pool:
+            assert np.array_equal(self._stages(pool, program), expected)
+            assert self.kinds(pool) == ["stage_round_aborted",
+                                        "fault_injected"]
+            assert pool.events.of_kind("fault_injected")[0].data == fired
+
     def test_nonfinite_stage_row_aborts_the_chunk(self, program):
         expected = self._stages(SerialExecutor(program), program)
 
@@ -623,14 +667,12 @@ class TestFaultSpec:
 
     def test_reset_rearms(self, program):
         inj = FaultInjector([FaultSpec(task_id=0, mode="raise", count=1)])
-        inj.wrap_tasks(program)
+        run = program.task_runner(inj)
         assert inj.remaining() == 1
         inj.begin_round()
         with pytest.raises(InjectedFault):
-            inj.wrap_tasks(program)[0](
-                0.0, program.start_vector(), program.param_vector(),
-                program.results_buffer(),
-            )
+            run((0,), 0.0, program.start_vector(), program.param_vector(),
+                program.results_buffer(), np.zeros(program.num_tasks))
         assert inj.remaining() == 0
         inj.reset()
         assert inj.remaining() == 1 and inj.round_index == -1
