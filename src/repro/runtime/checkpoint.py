@@ -6,8 +6,10 @@ checkpoint format holding everything needed to resume integration from
 the last accepted step:
 
 * solver state: ``t``, ``y``, the current step size ``h``, method order
-  and the multistep history (Adams RHS history / BDF backward-difference
-  table), plus the LSODA driver's family and switching counters,
+  and whatever else the stepper's ``snapshot()`` returns — the multistep
+  history (Adams RHS history / BDF backward-difference table), and for
+  LSODA the active family and switching counters; the stepper's
+  ``restore()`` reads them back, so this module knows no stepper field,
 * runtime state: the RNG seed and the measured per-task times that feed
   the semi-dynamic LPT scheduler, so a resumed run schedules from the
   same estimates instead of cold static weights,
@@ -26,10 +28,10 @@ checkpoint interval of progress, never the whole run.  The ``version``
 field is checked on load: readers reject formats they do not understand
 instead of misinterpreting them.
 
-:class:`Checkpointer` is the driver-facing hook: the adaptive solver
-loops call :meth:`Checkpointer.step` after every accepted step and the
-checkpoint is written every ``every`` steps (and once more at the end of
-integration via :meth:`flush`).
+:class:`Checkpointer` is the driver-facing hook: the adaptive loop
+(:func:`repro.solver.driver.drive`) calls :meth:`Checkpointer.step` after
+every accepted step and the checkpoint is written every ``every`` steps
+(and once more at the end of integration via :meth:`flush`).
 """
 
 from __future__ import annotations
@@ -55,10 +57,8 @@ __all__ = [
     "CheckpointError",
     "Checkpointer",
     "load_checkpoint",
-    "restore_stepper",
     "rotated_paths",
     "save_checkpoint",
-    "snapshot_stepper",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -81,7 +81,7 @@ class Checkpoint:
     order: int = 1
     #: LSODA's active family ("adams"/"bdf"); None for single-family methods
     family: str | None = None
-    #: stepper-specific history payload (from :func:`snapshot_stepper`)
+    #: stepper-specific history payload (from the stepper's ``snapshot()``)
     history: dict[str, Any] = field(default_factory=dict)
     #: driver-level counters (LSODA switching state)
     driver: dict[str, Any] = field(default_factory=dict)
@@ -240,59 +240,6 @@ def load_checkpoint(
         return ckpt
     assert first_error is not None
     raise first_error
-
-
-# -- stepper snapshot/restore (duck-typed over the solver families) ------------
-
-
-def snapshot_stepper(stepper) -> dict[str, Any]:
-    """History payload for an Adams or BDF stepper (rk has no history)."""
-    family = getattr(stepper, "family", None)
-    if family == "adams":
-        return {
-            "kind": "adams",
-            "grid_h": stepper._grid_h,
-            "f_hist": [fv.tolist() for fv in stepper._f_hist],
-            "raw_t": list(stepper._raw_t),
-            "raw_f": [fv.tolist() for fv in stepper._raw_f],
-            "reject_streak": stepper._reject_streak,
-        }
-    if family == "bdf":
-        return {
-            "kind": "bdf",
-            "D": stepper.D.tolist(),
-            "n_equal_steps": stepper.n_equal_steps,
-        }
-    return {}
-
-
-def restore_stepper(stepper, ckpt: Checkpoint) -> None:
-    """Restore order/step/history saved by :func:`snapshot_stepper`.
-
-    The stepper must already be positioned at ``(ckpt.t, ckpt.y)`` (the
-    drivers construct it there with ``first_step=ckpt.h``); this fills in
-    the multistep history so the resumed trajectory continues at the
-    checkpointed order instead of restarting at order 1.
-    """
-    history = ckpt.history or {}
-    kind = history.get("kind")
-    stepper.h = float(ckpt.h)
-    if kind == "adams":
-        stepper.order = int(ckpt.order)
-        stepper._grid_h = float(history["grid_h"])
-        stepper._f_hist = [np.asarray(fv, float) for fv in history["f_hist"]]
-        stepper._raw_t = [float(tv) for tv in history["raw_t"]]
-        stepper._raw_f = [np.asarray(fv, float) for fv in history["raw_f"]]
-        stepper._reject_streak = int(history["reject_streak"])
-    elif kind == "bdf":
-        stepper.order = int(ckpt.order)
-        stepper.D = np.asarray(history["D"], dtype=float)
-        stepper.n_equal_steps = int(history["n_equal_steps"])
-        # Jacobian and LU are rebuilt on demand after a restart.
-        stepper._J = None
-        stepper._LU = None
-        stepper._lu_h = None
-        stepper._jac_fresh = False
 
 
 class Checkpointer:

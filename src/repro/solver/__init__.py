@@ -4,13 +4,14 @@ from .adams import AdamsStepper, adams_adaptive
 from .batch import BATCH_METHODS, BatchResult, solve_ivp_batch
 from .bdf import BdfStepper, bdf_adaptive
 from .common import SolverOptions, SolverResult, Stats, error_norm
+from .driver import Stepper
 from .ivp import METHODS, hermite_resample, solve_ivp
 from .jacobian import (
     AnalyticJacobian,
     FiniteDifferenceJacobian,
     JacobianProvider,
 )
-from .lsoda import estimate_spectral_radius, lsoda_adaptive
+from .lsoda import LsodaStepper, estimate_spectral_radius, lsoda_adaptive
 from .sparsejac import (
     ColoredFiniteDifferenceJacobian,
     color_columns,
@@ -23,7 +24,7 @@ from .partitioned import (
     solve_partitioned,
 )
 from .recovery import GuardedRhs, RecoveryPolicy, RhsError, SolverFailure
-from .rk import rk4_fixed, rk45_adaptive
+from .rk import Rk45Stepper, rk4_fixed, rk45_adaptive
 
 __all__ = [
     "AdamsStepper",
@@ -36,6 +37,7 @@ __all__ = [
     "SolverOptions",
     "SolverResult",
     "Stats",
+    "Stepper",
     "error_norm",
     "METHODS",
     "hermite_resample",
@@ -47,6 +49,7 @@ __all__ = [
     "color_columns",
     "jacobian_sparsity",
     "estimate_spectral_radius",
+    "LsodaStepper",
     "lsoda_adaptive",
     "PartitionedResult",
     "Signal",
@@ -57,5 +60,6 @@ __all__ = [
     "RhsError",
     "SolverFailure",
     "rk4_fixed",
+    "Rk45Stepper",
     "rk45_adaptive",
 ]

@@ -16,8 +16,7 @@ what makes the RHS the hot spot the paper parallelises.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -25,18 +24,12 @@ from .common import (
     RhsFn,
     SolverOptions,
     SolverResult,
-    Stats,
+    StepUnderflow,
     error_norm,
-    initial_step,
-    validate_tspan,
+    step_factor,
 )
-from .recovery import (
-    GuardedRhs,
-    RecoveryPolicy,
-    RhsError,
-    SolverFailure,
-    construct_with_retry,
-)
+from .driver import Stepper, drive
+from .recovery import RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.checkpoint import Checkpoint, Checkpointer
@@ -100,41 +93,14 @@ def _interpolate_window(
     return result
 
 
-class AdamsStepper:
-    """One-step-at-a-time ABM integrator (driven by :func:`adams_adaptive`
-    and by the LSODA switching driver)."""
+class AdamsStepper(Stepper):
+    """One-step-at-a-time ABM integrator (run by :func:`adams_adaptive`
+    and inside :class:`~repro.solver.lsoda.LsodaStepper`)."""
 
     family = "adams"
 
-    def __init__(
-        self,
-        f: RhsFn,
-        t0: float,
-        y0: np.ndarray,
-        direction: float,
-        options: SolverOptions,
-        stats: Stats,
-    ) -> None:
-        self.f = f
-        self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float).copy()
-        self.direction = direction
-        self.options = options
-        self.stats = stats
+    def setup(self, f0: np.ndarray) -> None:
         self.order = 1
-
-        f0 = f(self.t, self.y)
-        stats.nfev += 1
-        if options.first_step is not None:
-            self.h = min(abs(options.first_step), options.max_step)
-        else:
-            self.h = initial_step(
-                f, self.t, self.y, f0, direction, 1,
-                options.rtol, options.atol, options.max_step,
-            )
-            stats.nfev += 1
-        self.h = max(self.h, 1e-14)
-
         # Uniform-grid history, newest first; _grid_h is its spacing
         # (self.h is the *desired* next step, which may differ until the
         # history is re-gridded).
@@ -168,16 +134,11 @@ class AdamsStepper:
             if (k - 1) * new_h <= span * (1 + 1e-12):
                 supported = k
         npoints = min(len(self._raw_t), MAX_ORDER + 1)
-        new_hist: list[np.ndarray] = []
-        for k in range(supported):
-            tq = self.t - k * new_h * self.direction
-            if k == 0:
-                new_hist.append(self._raw_f[-1])
-            else:
-                new_hist.append(
-                    _interpolate_window(self._raw_t, self._raw_f, tq, npoints)
-                )
-        self._f_hist = new_hist
+        self._f_hist = [self._raw_f[-1]] + [
+            _interpolate_window(self._raw_t, self._raw_f,
+                                self.t - k * new_h * self.direction, npoints)
+            for k in range(1, supported)
+        ]
         self.h = new_h
         self._grid_h = new_h
         self.order = min(self.order, supported)
@@ -202,9 +163,7 @@ class AdamsStepper:
             dj = coeffs @ np.array(self._f_hist[: j + 1])
             err_j = AM_ERR[j] * h * dj
             norm_j = error_norm(err_j, self.y, self.y, options.rtol, options.atol)
-            factor_j = _MAX_GROWTH if norm_j == 0 else min(
-                _MAX_GROWTH, 0.9 * norm_j ** (-1.0 / (j + 1))
-            )
+            factor_j = step_factor(norm_j, j, 0.0, _MAX_GROWTH)
             if factor_j > best_factor:
                 best_factor = factor_j
                 best_order = j
@@ -219,139 +178,83 @@ class AdamsStepper:
         history so the next attempt uses the smaller step."""
         self._regrid(max(self.h * factor, 1e-14))
 
-    # -- public stepping API ------------------------------------------------------
+    def snapshot(self) -> dict[str, Any]:
+        return {"history": {
+            "kind": "adams",
+            "grid_h": self._grid_h,
+            "f_hist": [fv.tolist() for fv in self._f_hist],
+            "raw_t": list(self._raw_t),
+            "raw_f": [fv.tolist() for fv in self._raw_f],
+            "reject_streak": self._reject_streak,
+        }}
 
-    def step(self, t_bound: float) -> bool:
-        """Attempt one accepted step toward ``t_bound``.
+    def restore(self, ckpt: "Checkpoint") -> None:
+        history = ckpt.history
+        if not history:
+            return
+        self.order = int(ckpt.order)
+        self._grid_h = float(history["grid_h"])
+        self._f_hist = [np.asarray(fv, float) for fv in history["f_hist"]]
+        self._raw_t = [float(tv) for tv in history["raw_t"]]
+        self._raw_f = [np.asarray(fv, float) for fv in history["raw_f"]]
+        self._reject_streak = int(history["reject_streak"])
 
-        Returns False when the solver cannot continue (step underflow).
-        """
+    def attempt(self, t_bound: float) -> bool:
+        """One PECE attempt; the Milne device accepts or rejects it."""
         options = self.options
-        while True:
-            h = min(self.h, abs(t_bound - self.t), options.max_step)
-            if h < options.min_step or self.t + h * self.direction == self.t:
-                return False
-            if h != self._grid_h:
-                self._regrid(h)
+        h = min(self.h, abs(t_bound - self.t), options.max_step)
+        if h < options.min_step or self.t + h * self.direction == self.t:
+            raise StepUnderflow
+        if h != self._grid_h:
+            self._regrid(h)
 
-            k = min(self.order, len(self._f_hist))
-            hist = np.array(self._f_hist[:k])
-            hd = h * self.direction
+        k = min(self.order, len(self._f_hist))
+        hist = np.array(self._f_hist[:k])
+        hd = h * self.direction
 
-            y_pred = self.y + hd * (AB_COEFFS[k] @ hist)
-            t_new = self.t + hd
-            f_pred = self.f(t_new, y_pred)
+        y_pred = self.y + hd * (AB_COEFFS[k] @ hist)
+        t_new = self.t + hd
+        f_pred = self.f(t_new, y_pred)
+        self.stats.nfev += 1
+
+        am = AM_COEFFS[k]
+        y_corr = self.y + hd * (
+            am[0] * f_pred + (am[1:] @ hist[: k - 1] if k > 1 else 0.0)
+        )
+        err = MILNE_C[k] * (y_corr - y_pred)
+        norm = error_norm(err, self.y, y_corr, options.rtol, options.atol)
+        self.stats.nsteps += 1
+
+        if norm <= 1.0:
+            f_new = self.f(t_new, y_corr)
             self.stats.nfev += 1
+            self.t = t_new
+            self.y = y_corr
+            self._f_hist.insert(0, f_new)
+            del self._f_hist[MAX_ORDER + 1 :]
+            self._remember(t_new, f_new)
+            self.stats.naccepted += 1
+            self._reject_streak = 0
+            self._select_order_and_step(h)
+            return True
 
-            am = AM_COEFFS[k]
-            y_corr = self.y + hd * (
-                am[0] * f_pred + (am[1:] @ hist[: k - 1] if k > 1 else 0.0)
-            )
-            err = MILNE_C[k] * (y_corr - y_pred)
-            norm = error_norm(err, self.y, y_corr, options.rtol, options.atol)
-            self.stats.nsteps += 1
-
-            if norm <= 1.0:
-                f_new = self.f(t_new, y_corr)
-                self.stats.nfev += 1
-                self.t = t_new
-                self.y = y_corr
-                self._f_hist.insert(0, f_new)
-                del self._f_hist[MAX_ORDER + 1 :]
-                self._remember(t_new, f_new)
-                self.stats.naccepted += 1
-                self._reject_streak = 0
-                self._select_order_and_step(h)
-                return True
-
-            self.stats.nrejected += 1
-            self._reject_streak += 1
-            factor = 0.9 * norm ** (-1.0 / (k + 1))
-            factor = min(max(factor, _MIN_SHRINK), 0.7)
-            if self._reject_streak >= 2 and self.order > 1:
-                self.order -= 1
-            self._regrid(h * factor)
+        self.stats.nrejected += 1
+        self._reject_streak += 1
+        if self._reject_streak >= 2 and self.order > 1:
+            self.order -= 1
+        self._regrid(h * step_factor(norm, k, _MIN_SHRINK, 0.7))
+        return False
 
 
 def adams_adaptive(
-    f: RhsFn,
-    t_span: tuple[float, float],
-    y0: Sequence[float],
+    f: RhsFn, t_span: tuple[float, float], y0: Sequence[float],
     options: SolverOptions = SolverOptions(),
     recovery: RecoveryPolicy | None = None,
     checkpointer: "Checkpointer | None" = None,
     resume: "Checkpoint | None" = None,
 ) -> SolverResult:
-    """Integrate with the variable-order ABM method alone (no switching).
-
-    With a :class:`~repro.solver.recovery.RecoveryPolicy`, RHS exceptions
-    and non-finite values shrink the step and retry before surfacing a
-    :class:`~repro.solver.recovery.SolverFailure`; ``checkpointer`` /
-    ``resume`` enable periodic checkpointing and warm restart (see
-    :mod:`repro.runtime.checkpoint`).
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if resume is not None:
-        t0 = float(resume.t)
-        y0 = resume.y
-        options = dataclasses.replace(options, first_step=resume.h)
-    direction = validate_tspan(t0, t1)
-    stats = Stats()
-    y0_arr = np.asarray(y0, float)
-    guarded = GuardedRhs(f) if recovery is not None else f
-    stepper = construct_with_retry(
-        lambda: AdamsStepper(guarded, t0, y0_arr, direction, options, stats),
-        recovery, "adams", t0, y0_arr,
-    )
-    if resume is not None:
-        from ..runtime.checkpoint import restore_stepper
-
-        restore_stepper(stepper, resume)
-
-    def make_checkpoint() -> "Checkpoint":
-        from ..runtime.checkpoint import Checkpoint, snapshot_stepper
-
-        return Checkpoint(
-            method="adams", t=stepper.t, y=stepper.y.copy(), h=stepper.h,
-            direction=direction, order=stepper.order,
-            history=snapshot_stepper(stepper),
-            stats=dataclasses.asdict(stats),
-        )
-
-    ts = [t0]
-    ys = [stepper.y.copy()]
-    retries = 0
-    while (t1 - stepper.t) * direction > 0:
-        if stats.nsteps >= options.max_steps:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                f"maximum step count {options.max_steps} exceeded",
-                stats, "adams",
-            )
-        try:
-            advanced = stepper.step(t1)
-        except RhsError as exc:
-            retries += 1
-            if recovery is None or retries > recovery.max_retries:
-                raise SolverFailure(
-                    "adams", stepper.t, stepper.y, retries, str(exc),
-                    ts=np.array(ts), ys=np.array(ys), cause=exc,
-                ) from exc
-            stepper.reduce_step(recovery.shrink_factor)
-            continue
-        retries = 0
-        if not advanced:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                "step size underflow", stats, "adams",
-            )
-        ts.append(stepper.t)
-        ys.append(stepper.y.copy())
-        if checkpointer is not None:
-            checkpointer.step(make_checkpoint)
-
-    if checkpointer is not None:
-        checkpointer.flush()
-    return SolverResult(
-        np.array(ts), np.array(ys), True, "reached end of span", stats, "adams"
-    )
+    """Integrate with the variable-order ABM method alone (no switching);
+    ``recovery``, ``checkpointer`` and ``resume`` as in
+    :func:`~repro.solver.driver.drive`."""
+    return drive("adams", AdamsStepper, f, t_span, y0, options, recovery,
+                 checkpointer, resume)

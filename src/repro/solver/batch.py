@@ -41,14 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .adams import AB_COEFFS, AM_COEFFS, MILNE_C
-from .common import SolverResult, Stats, validate_tspan
+from .common import (MAX_FACTOR, MIN_FACTOR, SAFETY, SolverResult, Stats,
+                     validate_tspan)
 from .rk import DOPRI_A, DOPRI_B4, DOPRI_B5, DOPRI_C
 
 __all__ = ["solve_ivp_batch", "BatchResult", "BATCH_METHODS"]
 
 BATCH_METHODS = ("rk45", "adams")
-
-_MAX_FACTOR, _MIN_FACTOR, _SAFETY = 10.0, 0.2, 0.9
 
 #: Adams order-indexed coefficient tables, zero-padded to rectangular form
 #: so a ``(batch,)`` order vector can gather its rows in one fancy index.
@@ -288,10 +287,10 @@ def _rk45_batch(
         with np.errstate(all="ignore"):
             grow = np.where(
                 norm == 0.0,
-                _MAX_FACTOR,
-                np.minimum(_MAX_FACTOR, _SAFETY * norm ** -0.2),
+                MAX_FACTOR,
+                np.minimum(MAX_FACTOR, SAFETY * norm ** -0.2),
             )
-            shrink = np.maximum(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+            shrink = np.maximum(MIN_FACTOR, SAFETY * norm ** -0.2)
         factor = np.where(accept, grow, np.where(reject, shrink, 1.0))
         h = np.where(active, h_eff * factor, h)
 
@@ -410,7 +409,7 @@ def _adams_batch(
 
         with np.errstate(all="ignore"):
             shrink = np.clip(
-                _SAFETY * norm ** (-1.0 / (k + 1.0)), _MIN_FACTOR, 1.0
+                SAFETY * norm ** (-1.0 / (k + 1.0)), MIN_FACTOR, 1.0
             )
         # A rejected first attempt after a doubling rolls the growth back:
         # the pre-doubling history is still valid at the saved spacing, so

@@ -17,28 +17,26 @@ generated analytic one.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Sequence
+import functools
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .common import (
+    MAX_FACTOR,
+    MIN_FACTOR,
+    SAFETY,
     RhsFn,
     SolverOptions,
     SolverResult,
     Stats,
-    initial_step,
-    validate_tspan,
+    StepUnderflow,
+    step_factor,
 )
+from .driver import Stepper, drive
 from .jacobian import FiniteDifferenceJacobian, JacobianProvider
-from .recovery import (
-    GuardedRhs,
-    RecoveryPolicy,
-    RhsError,
-    SolverFailure,
-    construct_with_retry,
-)
+from .recovery import RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.checkpoint import Checkpoint, Checkpointer
@@ -47,8 +45,6 @@ __all__ = ["BdfStepper", "bdf_adaptive"]
 
 MAX_ORDER = 5
 NEWTON_MAXITER = 4
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10.0
 
 _KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
 _GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))))
@@ -70,47 +66,25 @@ def _rms_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x * x)))
 
 
-class BdfStepper:
+class BdfStepper(Stepper):
     """One-step-at-a-time BDF integrator."""
 
     family = "bdf"
 
-    def __init__(
-        self,
-        f: RhsFn,
-        t0: float,
-        y0: np.ndarray,
-        direction: float,
-        options: SolverOptions,
-        stats: Stats,
-        jac: JacobianProvider | None = None,
-    ) -> None:
-        self.f = f
-        self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float).copy()
+    def __init__(self, f: RhsFn, t0: float, y0: np.ndarray,
+                 direction: float, options: SolverOptions, stats: Stats,
+                 h0: float | None = None, *,
+                 jac: JacobianProvider | None = None) -> None:
+        self.jac_provider = jac or FiniteDifferenceJacobian(f, np.size(y0))
+        super().__init__(f, t0, y0, direction, options, stats, h0)
+
+    def setup(self, f0: np.ndarray) -> None:
         self.n = self.y.size
-        self.direction = direction
-        self.options = options
-        self.stats = stats
-        self.jac_provider = jac or FiniteDifferenceJacobian(f, self.n)
-
-        f0 = f(self.t, self.y)
-        stats.nfev += 1
-        if options.first_step is not None:
-            self.h = min(abs(options.first_step), options.max_step)
-        else:
-            self.h = initial_step(
-                f, self.t, self.y, f0, direction, 1,
-                options.rtol, options.atol, options.max_step,
-            )
-            stats.nfev += 1
-        self.h = max(self.h, 1e-14)
-
         self.order = 1
         self.n_equal_steps = 0
         self.D = np.zeros((MAX_ORDER + 3, self.n))
         self.D[0] = self.y
-        self.D[1] = f0 * self.h * direction
+        self.D[1] = f0 * self.h * self.direction
 
         self._J: np.ndarray | None = None
         self._LU = None
@@ -151,6 +125,18 @@ class BdfStepper:
         """Shrink the step after an external (RHS) failure; the difference
         table is rescaled and the LU factorisation invalidated."""
         self._change_step(factor)
+
+    def snapshot(self) -> dict[str, Any]:
+        return {"history": {"kind": "bdf", "D": self.D.tolist(),
+                            "n_equal_steps": self.n_equal_steps}}
+
+    def restore(self, ckpt: "Checkpoint") -> None:
+        """The Jacobian and LU are rebuilt on demand, so a resumed run is
+        not bit-identical to an uninterrupted one."""
+        if ckpt.history:
+            self.order = int(ckpt.order)
+            self.D = np.asarray(ckpt.history["D"], dtype=float)
+            self.n_equal_steps = int(ckpt.history["n_equal_steps"])
 
     # -- the Newton corrector -----------------------------------------------------
 
@@ -194,22 +180,23 @@ class BdfStepper:
 
     # -- public stepping API --------------------------------------------------------
 
-    def step(self, t_bound: float) -> bool:
+    def attempt(self, t_bound: float) -> bool:
+        """One Newton-corrected attempt; the error test accepts or
+        rejects it (Newton failures shrink the step within it)."""
         options = self.options
+        if self.h > options.max_step:
+            self._change_step(options.max_step / self.h)
+        remaining = abs(t_bound - self.t)
+        # Clamp to the boundary; _change_step bounds each factor at
+        # MIN_FACTOR, so iterate until the step actually fits (never
+        # step past t_bound).
+        while self.h > remaining * (1.0 + 1e-12) and remaining > 0:
+            self._change_step(remaining / self.h)
+        order = self.order
         while True:
-            if self.h > options.max_step:
-                self._change_step(options.max_step / self.h)
-            remaining = abs(t_bound - self.t)
-            # Clamp to the boundary; _change_step bounds each factor at
-            # MIN_FACTOR, so iterate until the step actually fits (never
-            # step past t_bound).
-            while self.h > remaining * (1.0 + 1e-12) and remaining > 0:
-                self._change_step(remaining / self.h)
             h = self.h
             if h < options.min_step or self.t + h * self.direction == self.t:
-                return False
-
-            order = self.order
+                raise StepUnderflow
             t_new = self.t + h * self.direction
             y_predict = self.D[: order + 1].sum(axis=0)
             scale = options.atol + options.rtol * np.abs(y_predict)
@@ -217,170 +204,86 @@ class BdfStepper:
                 _GAMMA[1 : order + 1]
             ) / _ALPHA[order]
             c = h * self.direction / _ALPHA[order]
-
-            converged = False
-            while not converged:
-                if self._J is None:
-                    self._refresh_jacobian()
-                if self._LU is None or self._lu_h != self.h:
-                    self._factorise(c)
-                converged, y_new, d = self._solve_corrector(
-                    t_new, y_predict, c, psi, scale
-                )
-                if converged:
-                    break
-                if not self._jac_fresh:
-                    self._refresh_jacobian()
-                    continue
-                # Fresh Jacobian and still no convergence: reduce the step.
-                self._change_step(0.5)
-                self.stats.nrejected += 1
-                h = self.h
-                if h < options.min_step or self.t + h * self.direction == self.t:
-                    return False
-                t_new = self.t + h * self.direction
-                y_predict = self.D[: order + 1].sum(axis=0)
-                scale = options.atol + options.rtol * np.abs(y_predict)
-                psi = self.D[1 : order + 1].T.dot(
-                    _GAMMA[1 : order + 1]
-                ) / _ALPHA[order]
-                c = h * self.direction / _ALPHA[order]
-
-            self.stats.nsteps += 1
-            scale = options.atol + options.rtol * np.abs(y_new)
-            error = _ERROR_CONST[order] * d
-            error_norm_value = _rms_norm(error / scale)
-
-            if error_norm_value > 1.0:
-                self.stats.nrejected += 1
-                factor = max(
-                    MIN_FACTOR,
-                    0.9 * error_norm_value ** (-1.0 / (order + 1)),
-                )
-                self._change_step(factor)
-                continue
-
-            # -- accepted -------------------------------------------------------
-            self.stats.naccepted += 1
-            self.n_equal_steps += 1
-            self.t = t_new
-            self.y = y_new
-            self._jac_fresh = False
-
-            D = self.D
-            D[order + 2] = d - D[order + 1]
-            D[order + 1] = d
-            for i in reversed(range(order + 1)):
-                D[i] += D[i + 1]
-
-            if self.n_equal_steps < order + 1:
-                return True
-
-            # Order and step-size selection.
-            if order > 1:
-                error_m = _ERROR_CONST[order - 1] * D[order]
-                error_m_norm = _rms_norm(error_m / scale)
-            else:
-                error_m_norm = np.inf
-            if order < MAX_ORDER:
-                error_p = _ERROR_CONST[order + 1] * D[order + 2]
-                error_p_norm = _rms_norm(error_p / scale)
-            else:
-                error_p_norm = np.inf
-
-            error_norms = np.array(
-                [error_m_norm, error_norm_value, error_p_norm]
+            if self._J is None:
+                self._refresh_jacobian()
+            if self._LU is None or self._lu_h != self.h:
+                self._factorise(c)
+            converged, y_new, d = self._solve_corrector(
+                t_new, y_predict, c, psi, scale
             )
-            with np.errstate(divide="ignore"):
-                factors = error_norms ** (
-                    -1.0 / np.arange(order, order + 3)
-                )
-            delta_order = int(np.argmax(factors)) - 1
-            self.order = order = order + delta_order
-            factor = min(MAX_FACTOR, 0.9 * float(np.max(factors)))
-            self._change_step(factor)
+            if converged:
+                break
+            if not self._jac_fresh:
+                self._refresh_jacobian()
+                continue
+            # Fresh Jacobian and still no convergence: reduce the step.
+            self._change_step(0.5)
+            self.stats.nrejected += 1
+
+        self.stats.nsteps += 1
+        scale = options.atol + options.rtol * np.abs(y_new)
+        error = _ERROR_CONST[order] * d
+        error_norm_value = _rms_norm(error / scale)
+
+        if error_norm_value > 1.0:
+            self.stats.nrejected += 1
+            self._change_step(
+                step_factor(error_norm_value, order, MIN_FACTOR, MAX_FACTOR)
+            )
+            return False
+
+        # -- accepted -------------------------------------------------------
+        self.stats.naccepted += 1
+        self.n_equal_steps += 1
+        self.t = t_new
+        self.y = y_new
+        self._jac_fresh = False
+
+        D = self.D
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if self.n_equal_steps < order + 1:
             return True
+
+        # Order and step-size selection.
+        if order > 1:
+            error_m = _ERROR_CONST[order - 1] * D[order]
+            error_m_norm = _rms_norm(error_m / scale)
+        else:
+            error_m_norm = np.inf
+        if order < MAX_ORDER:
+            error_p = _ERROR_CONST[order + 1] * D[order + 2]
+            error_p_norm = _rms_norm(error_p / scale)
+        else:
+            error_p_norm = np.inf
+
+        error_norms = np.array(
+            [error_m_norm, error_norm_value, error_p_norm]
+        )
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (
+                -1.0 / np.arange(order, order + 3)
+            )
+        delta_order = int(np.argmax(factors)) - 1
+        self.order = order = order + delta_order
+        factor = min(MAX_FACTOR, SAFETY * float(np.max(factors)))
+        self._change_step(factor)
+        return True
 
 
 def bdf_adaptive(
-    f: RhsFn,
-    t_span: tuple[float, float],
-    y0: Sequence[float],
+    f: RhsFn, t_span: tuple[float, float], y0: Sequence[float],
     options: SolverOptions = SolverOptions(),
     jac: JacobianProvider | None = None,
     recovery: RecoveryPolicy | None = None,
     checkpointer: "Checkpointer | None" = None,
     resume: "Checkpoint | None" = None,
 ) -> SolverResult:
-    """Integrate with the BDF method alone (no family switching).
-
-    ``recovery``, ``checkpointer`` and ``resume`` behave as in
-    :func:`~repro.solver.adams.adams_adaptive`.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if resume is not None:
-        t0 = float(resume.t)
-        y0 = resume.y
-        options = dataclasses.replace(options, first_step=resume.h)
-    direction = validate_tspan(t0, t1)
-    stats = Stats()
-    y0_arr = np.asarray(y0, float)
-    guarded = GuardedRhs(f) if recovery is not None else f
-    stepper = construct_with_retry(
-        lambda: BdfStepper(
-            guarded, t0, y0_arr, direction, options, stats, jac=jac
-        ),
-        recovery, "bdf", t0, y0_arr,
-    )
-    if resume is not None:
-        from ..runtime.checkpoint import restore_stepper
-
-        restore_stepper(stepper, resume)
-
-    def make_checkpoint() -> "Checkpoint":
-        from ..runtime.checkpoint import Checkpoint, snapshot_stepper
-
-        return Checkpoint(
-            method="bdf", t=stepper.t, y=stepper.y.copy(), h=stepper.h,
-            direction=direction, order=stepper.order,
-            history=snapshot_stepper(stepper),
-            stats=dataclasses.asdict(stats),
-        )
-
-    ts = [t0]
-    ys = [stepper.y.copy()]
-    retries = 0
-    while (t1 - stepper.t) * direction > 0:
-        if stats.nsteps >= options.max_steps:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                f"maximum step count {options.max_steps} exceeded",
-                stats, "bdf",
-            )
-        try:
-            advanced = stepper.step(t1)
-        except RhsError as exc:
-            retries += 1
-            if recovery is None or retries > recovery.max_retries:
-                raise SolverFailure(
-                    "bdf", stepper.t, stepper.y, retries, str(exc),
-                    ts=np.array(ts), ys=np.array(ys), cause=exc,
-                ) from exc
-            stepper.reduce_step(recovery.shrink_factor)
-            continue
-        retries = 0
-        if not advanced:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                "step size underflow", stats, "bdf",
-            )
-        ts.append(stepper.t)
-        ys.append(stepper.y.copy())
-        if checkpointer is not None:
-            checkpointer.step(make_checkpoint)
-
-    if checkpointer is not None:
-        checkpointer.flush()
-    return SolverResult(
-        np.array(ts), np.array(ys), True, "reached end of span", stats, "bdf"
-    )
+    """Integrate with the BDF method alone (no family switching);
+    ``recovery``, ``checkpointer`` and ``resume`` as in
+    :func:`~repro.solver.driver.drive`."""
+    return drive("bdf", functools.partial(BdfStepper, jac=jac), f, t_span,
+                 y0, options, recovery, checkpointer, resume)

@@ -13,18 +13,23 @@ as an opaque callable, which is exactly what lets the parallel RHS facade
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "MAX_FACTOR",
+    "MIN_FACTOR",
+    "SAFETY",
     "SolverOptions",
     "SolverResult",
+    "StepUnderflow",
     "Stats",
     "error_norm",
+    "hermite",
     "initial_step",
+    "step_factor",
     "validate_tspan",
 ]
 
@@ -113,6 +118,35 @@ def validate_tspan(t0: float, t1: float) -> float:
     if t1 == t0:
         raise ValueError("integration span is empty (t1 == t0)")
     return 1.0 if t1 > t0 else -1.0
+
+
+def hermite(s, h: float, y0, dy0, y1, dy1):
+    """Cubic Hermite interpolation at fraction ``s`` of a step of length
+    ``h`` with end values ``y0``/``y1`` and derivatives ``dy0``/``dy1``."""
+    h00 = 2 * s**3 - 3 * s**2 + 1
+    h10 = s**3 - 2 * s**2 + s
+    h01 = -2 * s**3 + 3 * s**2
+    h11 = s**3 - s**2
+    return h00 * y0 + h10 * h * dy0 + h01 * y1 + h11 * h * dy1
+
+
+#: the step-size controller's safety factor and default factor bounds
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+
+
+def step_factor(norm: float, order: int, lo: float, hi: float) -> float:
+    """The one step-size rule: ``SAFETY * norm ** (-1 / (order + 1))``
+    clamped to ``[lo, hi]``; a zero error norm grows by ``hi`` and a NaN
+    one shrinks by ``lo``."""
+    if norm == 0.0:
+        return hi
+    return min(hi, max(lo, SAFETY * norm ** (-1.0 / (order + 1))))
+
+
+class StepUnderflow(Exception):
+    """The next step is below ``min_step`` or no longer moves ``t``."""
 
 
 def initial_step(

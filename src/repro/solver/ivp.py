@@ -16,7 +16,7 @@ import numpy as np
 
 from .adams import adams_adaptive
 from .bdf import bdf_adaptive
-from .common import RhsFn, SolverOptions, SolverResult
+from .common import RhsFn, SolverOptions, SolverResult, hermite
 from .jacobian import AnalyticJacobian, JacobianProvider
 from .lsoda import lsoda_adaptive
 from .recovery import RecoveryPolicy
@@ -71,17 +71,8 @@ def hermite_resample(
         if h == 0:
             out[row] = ys[i1]
             continue
-        s = (tq - t0f) / h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        out[row] = (
-            h00 * ys[i0]
-            + h10 * h * f_at(i0)
-            + h01 * ys[i1]
-            + h11 * h * f_at(i1)
-        )
+        out[row] = hermite((tq - t0f) / h, h, ys[i0], f_at(i0), ys[i1],
+                           f_at(i1))
 
     return SolverResult(
         ts=t_eval_arr,

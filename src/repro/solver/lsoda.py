@@ -18,27 +18,21 @@ is formed while running the nonstiff family.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .adams import AdamsStepper
 from .bdf import BdfStepper
-from .common import RhsFn, SolverOptions, SolverResult, Stats, validate_tspan
+from .common import RhsFn, SolverOptions, SolverResult, Stats
+from .driver import Stepper, drive
 from .jacobian import JacobianProvider
-from .recovery import (
-    GuardedRhs,
-    RecoveryPolicy,
-    RhsError,
-    SolverFailure,
-    construct_with_retry,
-)
+from .recovery import RecoveryPolicy, RhsError, construct_with_retry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.checkpoint import Checkpoint, Checkpointer
 
-__all__ = ["lsoda_adaptive", "estimate_spectral_radius"]
+__all__ = ["LsodaStepper", "lsoda_adaptive", "estimate_spectral_radius"]
 
 #: switch Adams -> BDF when h * rho exceeds this (AB4's real-axis stability
 #: interval is about 0.3; the margin keeps borderline problems on Adams)
@@ -47,6 +41,8 @@ STIFF_THRESHOLD = 0.6
 NONSTIFF_THRESHOLD = 0.1
 #: steps between stiffness checks
 CHECK_EVERY = 25
+#: the switching state a checkpoint's ``driver`` dict holds
+_COUNTERS = ("steps_since_check", "switch_votes", "grace")
 
 
 def estimate_spectral_radius(
@@ -82,144 +78,126 @@ def estimate_spectral_radius(
     return rho
 
 
+class LsodaStepper(Stepper):
+    """An Adams or BDF stepper that switches family on its own.
+
+    The stiffness check and the switch happen inside the accepted step
+    that reaches :data:`CHECK_EVERY`, so a checkpoint taken after it holds
+    the post-check counters and family, and a resumed run checks and
+    switches exactly where the uninterrupted one does.
+    """
+
+    def __init__(self, f: RhsFn, t0: float, y0: np.ndarray,
+                 direction: float, options: SolverOptions, stats: Stats,
+                 h0: float | None = None, *, family: str = "adams",
+                 jac: JacobianProvider | None = None,
+                 recovery: RecoveryPolicy | None = None,
+                 method_log: list[str] | None = None) -> None:
+        self.f, self.direction = f, direction
+        self.options, self.stats = options, stats
+        self.jac, self.recovery = jac, recovery
+        #: the family of every accepted step, in order
+        self.method_log = [] if method_log is None else method_log
+        self.inner = self._build(family, t0, y0, h0)
+        self.steps_since_check = 0
+        #: consecutive checks agreeing that a switch is warranted
+        #: (debounce: one noisy spectral-radius estimate must not flip
+        #: the family)
+        self.switch_votes = 0
+        self.grace = 0
+
+    def _build(self, family: str, t: float, y: np.ndarray,
+               h0: float | None) -> AdamsStepper | BdfStepper:
+        if family == "bdf":
+            return BdfStepper(self.f, t, y, self.direction, self.options,
+                              self.stats, h0, jac=self.jac)
+        return AdamsStepper(self.f, t, y, self.direction, self.options,
+                            self.stats, h0)
+
+    t = property(lambda self: self.inner.t)
+    y = property(lambda self: self.inner.y)
+    h = property(lambda self: self.inner.h)
+    order = property(lambda self: self.inner.order)
+    family = property(lambda self: self.inner.family)
+
+    def reduce_step(self, factor: float) -> None:
+        self.inner.reduce_step(factor)
+
+    def snapshot(self) -> dict[str, Any]:
+        return {**self.inner.snapshot(), "family": self.inner.family,
+                "driver": {k: getattr(self, k) for k in _COUNTERS}}
+
+    def restore(self, ckpt: "Checkpoint") -> None:
+        self.inner.restore(ckpt)
+        for k in _COUNTERS:
+            setattr(self, k, int((ckpt.driver or {}).get(k, 0)))
+
+    def attempt(self, t_bound: float) -> bool:
+        if not self.inner.attempt(t_bound):
+            return False
+        self.method_log.append(self.inner.family)
+        self.steps_since_check += 1
+        if (self.steps_since_check >= CHECK_EVERY
+                and (t_bound - self.t) * self.direction > 0):
+            self.steps_since_check = 0
+            if self.grace > 0:
+                self.grace -= 1
+            else:
+                self._check_stiffness()
+        return True
+
+    def _check_stiffness(self) -> None:
+        inner, stats = self.inner, self.stats
+        try:
+            f_now = self.f(inner.t, inner.y)
+            stats.nfev += 1
+            rho = estimate_spectral_radius(self.f, inner.t, inner.y, f_now,
+                                           stats)
+        except RhsError:
+            # The stiffness probe is advisory; a transient RHS fault here
+            # just skips this check rather than failing the run.
+            return
+        h_rho = inner.h * rho
+        wants_switch = (
+            inner.family == "adams" and h_rho > STIFF_THRESHOLD
+        ) or (inner.family == "bdf" and h_rho < NONSTIFF_THRESHOLD)
+        self.switch_votes = self.switch_votes + 1 if wants_switch else 0
+        if self.switch_votes < 2:
+            return
+        self.switch_votes = 0
+        self.grace = 2
+        stats.method_switches += 1
+        target = "bdf" if inner.family == "adams" else "adams"
+        # The new family starts as a fresh run would: options.first_step
+        # or the heuristic, never a resumed run's checkpointed step.
+        self.inner = construct_with_retry(
+            lambda: self._build(target, inner.t, inner.y, None),
+            self.recovery, "lsoda", inner.t, inner.y,
+        )
+
+
 def lsoda_adaptive(
-    f: RhsFn,
-    t_span: tuple[float, float],
-    y0: Sequence[float],
+    f: RhsFn, t_span: tuple[float, float], y0: Sequence[float],
     options: SolverOptions = SolverOptions(),
     jac: JacobianProvider | None = None,
     recovery: RecoveryPolicy | None = None,
     checkpointer: "Checkpointer | None" = None,
     resume: "Checkpoint | None" = None,
 ) -> SolverResult:
-    """Integrate with automatic Adams/BDF switching.
-
-    ``recovery``, ``checkpointer`` and ``resume`` behave as in
-    :func:`~repro.solver.adams.adams_adaptive`; checkpoints additionally
-    record the active family and the switching counters so a resumed run
-    continues in the same stiffness regime.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if resume is not None:
-        t0 = float(resume.t)
-        y0 = resume.y
-        options = dataclasses.replace(options, first_step=resume.h)
-    direction = validate_tspan(t0, t1)
-    stats = Stats()
-    y0_arr = np.asarray(y0, float)
-    guarded = GuardedRhs(f) if recovery is not None else f
-
-    family = resume.family if resume is not None else "adams"
-
-    def _construct(kind: str, t: float, y: np.ndarray):
-        if kind == "bdf":
-            return BdfStepper(guarded, t, y, direction, options, stats,
-                              jac=jac)
-        return AdamsStepper(guarded, t, y, direction, options, stats)
-
-    stepper: AdamsStepper | BdfStepper = construct_with_retry(
-        lambda: _construct(family or "adams", t0, y0_arr),
-        recovery, "lsoda", t0, y0_arr,
-    )
-    if resume is not None:
-        from ..runtime.checkpoint import restore_stepper
-
-        restore_stepper(stepper, resume)
-
-    ts = [t0]
-    ys = [stepper.y.copy()]
+    """Integrate with automatic Adams/BDF switching (:class:`LsodaStepper`);
+    ``recovery``, ``checkpointer`` and ``resume`` as in
+    :func:`~repro.solver.driver.drive`.  Checkpoints also record the
+    active family and the switching counters."""
     method_log: list[str] = []
-    steps_since_check = 0
-    #: consecutive checks agreeing that a switch is warranted (debounce —
-    #: one noisy spectral-radius estimate must not flip the family)
-    switch_votes = 0
-    grace = 0
-    retries = 0
-    if resume is not None and resume.driver:
-        steps_since_check = int(resume.driver.get("steps_since_check", 0))
-        switch_votes = int(resume.driver.get("switch_votes", 0))
-        grace = int(resume.driver.get("grace", 0))
 
-    def make_checkpoint() -> "Checkpoint":
-        from ..runtime.checkpoint import Checkpoint, snapshot_stepper
-
-        return Checkpoint(
-            method="lsoda", t=stepper.t, y=stepper.y.copy(), h=stepper.h,
-            direction=direction, order=stepper.order,
-            family=stepper.family, history=snapshot_stepper(stepper),
-            driver={
-                "steps_since_check": steps_since_check,
-                "switch_votes": switch_votes,
-                "grace": grace,
-            },
-            stats=dataclasses.asdict(stats),
+    def build(rhs, t0, y0, direction, options, stats, h0):
+        return LsodaStepper(
+            rhs, t0, y0, direction, options, stats, h0,
+            family=getattr(resume, "family", None) or "adams",
+            jac=jac, recovery=recovery, method_log=method_log,
         )
 
-    while (t1 - stepper.t) * direction > 0:
-        if stats.nsteps >= options.max_steps:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                f"maximum step count {options.max_steps} exceeded",
-                stats, "lsoda", method_log,
-            )
-        try:
-            advanced = stepper.step(t1)
-        except RhsError as exc:
-            retries += 1
-            if recovery is None or retries > recovery.max_retries:
-                raise SolverFailure(
-                    "lsoda", stepper.t, stepper.y, retries, str(exc),
-                    ts=np.array(ts), ys=np.array(ys), cause=exc,
-                ) from exc
-            stepper.reduce_step(recovery.shrink_factor)
-            continue
-        retries = 0
-        if not advanced:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                "step size underflow", stats, "lsoda", method_log,
-            )
-        ts.append(stepper.t)
-        ys.append(stepper.y.copy())
-        method_log.append(stepper.family)
-        steps_since_check += 1
-        if checkpointer is not None:
-            checkpointer.step(make_checkpoint)
-
-        if steps_since_check >= CHECK_EVERY and (t1 - stepper.t) * direction > 0:
-            steps_since_check = 0
-            if grace > 0:
-                grace -= 1
-                continue
-            try:
-                f_now = guarded(stepper.t, stepper.y)
-                stats.nfev += 1
-                rho = estimate_spectral_radius(
-                    guarded, stepper.t, stepper.y, f_now, stats
-                )
-            except RhsError:
-                # The stiffness probe is advisory; a transient RHS fault
-                # here just skips this check rather than failing the run.
-                continue
-            h_rho = stepper.h * rho
-            wants_switch = (
-                stepper.family == "adams" and h_rho > STIFF_THRESHOLD
-            ) or (stepper.family == "bdf" and h_rho < NONSTIFF_THRESHOLD)
-            switch_votes = switch_votes + 1 if wants_switch else 0
-            if switch_votes >= 2:
-                switch_votes = 0
-                grace = 2
-                stats.method_switches += 1
-                target = "bdf" if stepper.family == "adams" else "adams"
-                t_sw, y_sw = stepper.t, stepper.y
-                stepper = construct_with_retry(
-                    lambda: _construct(target, t_sw, y_sw),
-                    recovery, "lsoda", t_sw, y_sw,
-                )
-
-    if checkpointer is not None:
-        checkpointer.flush()
-    return SolverResult(
-        np.array(ts), np.array(ys), True, "reached end of span",
-        stats, "lsoda", method_log,
-    )
+    result = drive("lsoda", build, f, t_span, y0, options, recovery,
+                   checkpointer, resume)
+    result.method_log = method_log
+    return result

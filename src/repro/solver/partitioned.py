@@ -37,7 +37,7 @@ from ..analysis.scc import condensation, strongly_connected_components
 from ..codegen.program import generate_program
 from ..codegen.transform import OdeSystem
 from ..symbolic.expr import free_symbols
-from .common import SolverResult
+from .common import SolverResult, hermite
 from .ivp import solve_ivp
 
 __all__ = ["Signal", "SubsystemRun", "PartitionedResult", "solve_partitioned"]
@@ -70,17 +70,8 @@ class Signal:
         i = bisect.bisect_right(ts, t) - 1
         t0, t1 = ts[i], ts[i + 1]
         h = t1 - t0
-        s = (t - t0) / h
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return float(
-            h00 * self.ys[i]
-            + h10 * h * self.dys[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.dys[i + 1]
-        )
+        return float(hermite((t - t0) / h, h, self.ys[i], self.dys[i],
+                             self.ys[i + 1], self.dys[i + 1]))
 
 
 @dataclass

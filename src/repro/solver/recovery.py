@@ -3,20 +3,20 @@
 The solvers treat the right-hand side as an opaque callable (section 2.4);
 when that callable is the parallel runtime, it can fail in ways a pure
 function cannot — a worker dies, an injected fault fires, a task emits
-NaN.  This module gives every driver (rk45, adams, bdf, lsoda) one shared
-policy for those failures:
+NaN.  This module is the one policy for those failures, applied by the
+adaptive loop every method runs under (:func:`repro.solver.driver.drive`):
 
 * :class:`GuardedRhs` wraps the RHS and converts both raised exceptions
   and non-finite return values into a typed :class:`RhsError`,
-* on :class:`RhsError` the driver shrinks the step by
+* on :class:`RhsError` the loop shrinks the step by
   ``RecoveryPolicy.shrink_factor`` and retries, up to
-  ``RecoveryPolicy.max_retries`` consecutive times,
+  ``RecoveryPolicy.max_retries`` consecutive failed attempts,
 * exhausted recovery surfaces a structured :class:`SolverFailure`
   carrying the last good ``(t, y)`` and the partial trajectory, so a
   caller (or the checkpoint layer) can restart from known-good state.
 
-Without a policy the drivers behave exactly as before — exceptions
-propagate raw and non-finite values flow into the error norms.
+Without a policy exceptions propagate raw and non-finite values flow
+into the error norms.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = [
 class RecoveryPolicy:
     """Shrink-and-retry policy for RHS failures inside a stepper.
 
-    ``max_retries`` bounds *consecutive* failed attempts (any accepted
-    step resets the count); each retry multiplies the step size by
-    ``shrink_factor``.
+    ``max_retries`` bounds *consecutive* failed attempts (any attempt
+    whose RHS calls all answer, accepted or rejected, resets the count);
+    each retry multiplies the step size by ``shrink_factor``.
     """
 
     max_retries: int = 5
@@ -105,7 +105,7 @@ class GuardedRhs:
     """RHS wrapper that converts failures into :class:`RhsError`.
 
     Counts failures (``nerrors``) and distinguishes raised exceptions from
-    silently non-finite values; drivers use it only when a
+    silently non-finite values; the adaptive loop uses it only when a
     :class:`RecoveryPolicy` is active, so the unguarded fast path is
     untouched.
     """
@@ -113,20 +113,30 @@ class GuardedRhs:
     def __init__(self, f: RhsFn) -> None:
         self.f = f
         self.nerrors = 0
+        if getattr(f, "eval_stages", None) is not None:
+            self.eval_stages = self._eval_stages
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self._guarded(t, self.f, (t, y))
+
+    def _eval_stages(self, t, y, hd, k, a, c) -> None:
+        """The K-stage path of an RHS with ``eval_stages``: the trial
+        stages ``k[1:]`` it fills are checked like one return value."""
+        self._guarded(t, self.f.eval_stages, (t, y, hd, k, a, c), k[1:])
+
+    def _guarded(self, t: float, fn, args: tuple, out=None):
         try:
-            out = self.f(t, y)
+            ret = fn(*args)
         except RhsError:
             self.nerrors += 1
             raise
         except Exception as exc:
             self.nerrors += 1
             raise RhsError(t, cause=exc) from exc
-        if not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(ret if out is None else out)):
             self.nerrors += 1
             raise RhsError(t, non_finite=True)
-        return out
+        return ret
 
 
 def construct_with_retry(factory, policy: RecoveryPolicy | None,

@@ -8,32 +8,32 @@ methods and the reference method in the cross-validation tests.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .common import (
+    MAX_FACTOR,
+    MIN_FACTOR,
     RhsFn,
     SolverOptions,
     SolverResult,
     Stats,
+    StepUnderflow,
     error_norm,
-    initial_step,
+    step_factor,
     validate_tspan,
 )
-from .recovery import (
-    GuardedRhs,
-    RecoveryPolicy,
-    RhsError,
-    SolverFailure,
-    construct_with_retry,
-)
+from .driver import Stepper, drive
+from .recovery import RecoveryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.checkpoint import Checkpoint, Checkpointer
 
-__all__ = ["rk4_fixed", "rk45_adaptive", "DOPRI_A", "DOPRI_B5", "DOPRI_B4", "DOPRI_C"]
+__all__ = [
+    "rk4_fixed", "rk45_adaptive", "Rk45Stepper",
+    "DOPRI_A", "DOPRI_B5", "DOPRI_B4", "DOPRI_C",
+]
 
 # Dormand–Prince 5(4) tableau.
 DOPRI_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -95,130 +95,59 @@ def rk4_fixed(
     )
 
 
-def rk45_adaptive(
-    f: RhsFn,
-    t_span: tuple[float, float],
-    y0: Sequence[float],
-    options: SolverOptions = SolverOptions(),
-    recovery: RecoveryPolicy | None = None,
-    checkpointer: "Checkpointer | None" = None,
-    resume: "Checkpoint | None" = None,
-) -> SolverResult:
+class Rk45Stepper(Stepper):
     """Adaptive Dormand–Prince 5(4) with FSAL and PI-free standard control.
 
-    With a :class:`~repro.solver.recovery.RecoveryPolicy`, RHS exceptions
-    and non-finite values shrink the step and retry before surfacing a
-    :class:`~repro.solver.recovery.SolverFailure`; ``checkpointer`` /
-    ``resume`` enable periodic checkpointing and warm restart.
+    ``k[0]`` is the FSAL slot ``f(t, y)``.  An RHS with ``eval_stages``
+    (a :class:`~repro.runtime.parallel_rhs.ParallelRHS`) fills the six
+    trial stages in one call, at best one executor dispatch per K stages
+    instead of one per stage.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if resume is not None:
-        t0 = float(resume.t)
-        y0 = resume.y
-        options = dataclasses.replace(options, first_step=resume.h)
-    direction = validate_tspan(t0, t1)
-    y = np.asarray(y0, dtype=float).copy()
-    n = y.size
-    stats = Stats()
-    # K-stage fast path: a ParallelRHS exposes eval_stages, which fills
-    # all six trial stages with (at best) one executor dispatch per K
-    # stages instead of one per stage.  Captured before the GuardedRhs
-    # wrap — the guard is per-call; stage-path failures are converted to
-    # RhsError below so shrink-and-retry recovery behaves identically.
-    stage_eval = getattr(f, "eval_stages", None)
-    if recovery is not None:
-        f = GuardedRhs(f)
 
-    def _startup():
-        f0 = f(t0, y)
-        stats.nfev += 1
-        if options.first_step is not None:
-            h = min(abs(options.first_step), options.max_step)
-        else:
-            h = initial_step(
-                f, t0, y, f0, direction, 4, options.rtol, options.atol,
-                options.max_step,
-            )
-            stats.nfev += 1
-        return f0, h
+    family = "rk45"
+    order = 5
+    start_order = 4
 
-    f0, h = construct_with_retry(_startup, recovery, "rk45", t0, y)
-    h = max(h, 1e-14)
+    def setup(self, f0: np.ndarray) -> None:
+        self.stage_eval = getattr(self.f, "eval_stages", None)
+        n = self.y.size
+        self.k = np.empty((7, n), dtype=float)
+        self.k[0] = f0
+        # Reusable per-step workspaces: the stage argument, the candidate
+        # state, and the error vector are written in place each step
+        # instead of allocated anew (the candidate buffer is swapped with
+        # ``y`` on acceptance; the driver stores copies of ``y``).
+        self._y_stage = np.empty(n, dtype=float)
+        self._y_new = np.empty(n, dtype=float)
+        self._err = np.empty(n, dtype=float)
 
-    ts = [t0]
-    ys = [y.copy()]
-    t = t0
-    k = np.empty((7, n), dtype=float)
-    k[0] = f0
-    # Reusable per-step workspaces: the stage argument, the candidate
-    # state, and the error vector are written in place each step instead
-    # of allocated anew (the candidate buffer is swapped with ``y`` on
-    # acceptance, so the stored trajectory still sees fresh copies).
-    y_stage = np.empty(n, dtype=float)
-    y_new = np.empty(n, dtype=float)
-    err = np.empty(n, dtype=float)
+    def reduce_step(self, factor: float) -> None:
+        """Shrink after a failed stage evaluation, which counts as a
+        rejected step; the FSAL slot ``k[0]`` is still valid."""
+        self.stats.nrejected += 1
+        self.h *= factor
 
-    def make_checkpoint() -> "Checkpoint":
-        from ..runtime.checkpoint import Checkpoint
-
-        return Checkpoint(
-            method="rk45", t=t, y=y.copy(), h=h, direction=direction,
-            order=5, stats=dataclasses.asdict(stats),
-        )
-
-    MAX_FACTOR, MIN_FACTOR, SAFETY = 10.0, 0.2, 0.9
-    retries = 0
-
-    while (t1 - t) * direction > 0:
-        if stats.nsteps >= options.max_steps:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                f"maximum step count {options.max_steps} exceeded",
-                stats, "rk45",
-            )
-        h = min(h, abs(t1 - t), options.max_step)
+    def attempt(self, t_bound: float) -> bool:
+        options, stats, k = self.options, self.stats, self.k
+        t, y, direction = self.t, self.y, self.direction
+        h = min(self.h, abs(t_bound - t), options.max_step)
         if h < options.min_step or t + h * direction == t:
-            return SolverResult(
-                np.array(ts), np.array(ys), False,
-                "step size underflow", stats, "rk45",
-            )
+            raise StepUnderflow
+        self.h = h
         stats.nsteps += 1
 
-        try:
-            if stage_eval is not None:
-                try:
-                    stage_eval(t, y, h * direction, k, DOPRI_A, DOPRI_C)
-                except RhsError:
-                    raise
-                except Exception as exc:
-                    if recovery is None:
-                        raise
-                    raise RhsError(t, cause=exc) from exc
-                if recovery is not None and not np.all(
-                    np.isfinite(k[1:7])
-                ):
-                    raise RhsError(t, non_finite=True)
-            else:
-                for i in range(1, 7):
-                    np.matmul(k[:i].T, DOPRI_A[i], out=y_stage)
-                    y_stage *= h * direction
-                    y_stage += y
-                    k[i] = f(t + DOPRI_C[i] * h * direction, y_stage)
-        except RhsError as exc:
-            retries += 1
-            if recovery is None or retries > recovery.max_retries:
-                raise SolverFailure(
-                    "rk45", t, y, retries, str(exc),
-                    ts=np.array(ts), ys=np.array(ys), cause=exc,
-                ) from exc
-            stats.nrejected += 1
-            h *= recovery.shrink_factor
-            # The FSAL slot k[0] = f(t, y) is still valid; only the trial
-            # stages are discarded.
-            continue
-        retries = 0
+        if self.stage_eval is not None:
+            self.stage_eval(t, y, h * direction, k, DOPRI_A, DOPRI_C)
+        else:
+            f, y_stage = self.f, self._y_stage
+            for i in range(1, 7):
+                np.matmul(k[:i].T, DOPRI_A[i], out=y_stage)
+                y_stage *= h * direction
+                y_stage += y
+                k[i] = f(t + DOPRI_C[i] * h * direction, y_stage)
         stats.nfev += 6
 
+        y_new, err = self._y_new, self._err
         np.matmul(k.T, DOPRI_B5, out=y_new)
         y_new *= h * direction
         y_new += y
@@ -226,30 +155,25 @@ def rk45_adaptive(
         err *= h
         norm = error_norm(err, y, y_new, options.rtol, options.atol)
 
-        if norm <= 1.0:
-            t = t + h * direction
-            y, y_new = y_new, y  # swap: old state becomes next workspace
-            k[0] = k[6]  # FSAL
-            stats.naccepted += 1
-            ts.append(t)
-            ys.append(y.copy())
-            factor = MAX_FACTOR if norm == 0 else min(
-                MAX_FACTOR, SAFETY * norm ** (-0.2)
-            )
-            h *= factor
-            # Checkpoint *after* the controller update so the stored h is
-            # the one the next step will use: a resumed run then retraces
-            # the uninterrupted step sequence bit-identically instead of
-            # re-entering the loop with the already-completed step's h.
-            if checkpointer is not None:
-                checkpointer.step(make_checkpoint)
-        else:
+        self.h = h * step_factor(norm, 4, MIN_FACTOR, MAX_FACTOR)
+        if not norm <= 1.0:  # a NaN norm rejects too
             stats.nrejected += 1
-            h *= max(MIN_FACTOR, SAFETY * norm ** (-0.2))
+            return False
+        self.t = t + h * direction
+        self.y, self._y_new = y_new, y  # old state becomes next workspace
+        k[0] = k[6]  # FSAL
+        stats.naccepted += 1
+        return True
 
-    if checkpointer is not None:
-        checkpointer.flush()
-    return SolverResult(
-        np.array(ts), np.array(ys), True, "reached end of span",
-        stats, "rk45",
-    )
+
+def rk45_adaptive(
+    f: RhsFn, t_span: tuple[float, float], y0: Sequence[float],
+    options: SolverOptions = SolverOptions(),
+    recovery: RecoveryPolicy | None = None,
+    checkpointer: "Checkpointer | None" = None,
+    resume: "Checkpoint | None" = None,
+) -> SolverResult:
+    """Integrate with :class:`Rk45Stepper`; ``recovery``, ``checkpointer``
+    and ``resume`` as in :func:`~repro.solver.driver.drive`."""
+    return drive("rk45", Rk45Stepper, f, t_span, y0, options, recovery,
+                 checkpointer, resume)
