@@ -93,7 +93,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     else:
         print(
             f"# compiled {report.model} in {report.total_wall_s * 1e3:.2f} ms"
-            f" ({'cache hit' if report.cache_hit else 'cache miss'},"
+            f" (cache {report.cache_status},"
             f" hash {report.model_hash[:12]})"
         )
     for name, text in ctx.dumps.items():

@@ -71,8 +71,10 @@ __all__ = [
 ]
 
 #: compile flags; ``-ffp-contract=off`` is load-bearing (see module doc),
-#: ``-fno-math-errno`` lets libm calls inline without errno bookkeeping
-CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-math-errno", "-ffp-contract=off")
+#: ``-fno-math-errno`` lets libm calls inline without errno bookkeeping;
+#: ``-O1`` because a unit's straight-line arithmetic runs no faster at
+#: ``-O2``, which builds it in about 1.5x the time
+CFLAGS = ("-O1", "-fPIC", "-shared", "-fno-math-errno", "-ffp-contract=off")
 
 
 class NativeUnavailable(RuntimeError):

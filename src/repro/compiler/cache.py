@@ -20,6 +20,14 @@ Two layers:
   cache directory) surviving across processes — the compiler-side
   equivalent of the runtime's checkpoint files.
 
+A compile from source text first looks up a **source alias**: a small
+``sources/<alias>.json`` entry keyed by the hash of the text, the artifact
+format, the codegen options and the package's own code
+(:func:`source_key`), naming the artifact key and model hash that text
+compiled to.  A hit loads that artifact without parsing; the artifact
+itself stays keyed by the flat model, so text that differs only in
+layout shares one artifact and gets an alias of its own after one parse.
+
 The on-disk level is a :class:`~repro.store.DiskStore`, shared with the
 native build cache: **crash-consistent and multi-process safe**
 (fsync-before-atomic-rename, a bounded per-key ``flock`` that degrades to
@@ -36,6 +44,7 @@ source the generator itself produces).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields as dataclass_fields
@@ -75,6 +84,8 @@ __all__ = [
     "flat_model_to_obj",
     "model_fingerprint",
     "artifact_key",
+    "package_digest",
+    "source_key",
 ]
 
 #: bumped whenever the artifact JSON layout changes; part of every key
@@ -166,6 +177,30 @@ def artifact_key(model_hash: str, options: CompileOptions) -> str:
         "format": ARTIFACT_FORMAT,
         "model": model_hash,
         "options": options.codegen_fingerprint(),
+    })
+
+
+@functools.cache
+def package_digest() -> str:
+    """Hash of the ``repro`` package's ``.py`` files, computed once per
+    process: a source alias written by another parser, flattener or code
+    generator is never served."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def source_key(source: str, options: CompileOptions) -> str:
+    """Source-alias key: the text, the artifact format, the codegen
+    options and the package code that would compile it."""
+    return _digest({
+        "format": ARTIFACT_FORMAT,
+        "source": hashlib.sha256(source.encode()).hexdigest(),
+        "options": options.codegen_fingerprint(),
+        "package": package_digest(),
     })
 
 
@@ -405,6 +440,33 @@ class CompiledArtifacts:
 # ---------------------------------------------------------------------------
 
 
+#: what a file that fails to parse or validate raises on load.  Valid JSON
+#: of the wrong shape lands here too: a non-object document
+#: (AttributeError, TypeError), a sequence shorter than its consumer
+#: indexes (IndexError), a damaged module source (SyntaxError), nesting
+#: past the interpreter's recursion limit (RecursionError).
+_LOAD_ERRORS = (
+    ValueError, KeyError, TypeError, OSError, UnicodeDecodeError,
+    AttributeError, IndexError, SyntaxError, RecursionError,
+)
+
+
+def _read(store: DiskStore, key: str) -> Any:
+    path = store.path(key)
+    if store.faults is not None:
+        store.faults.before_io("cache_load", path)
+    return json.loads(path.read_text())
+
+
+def _write(store: DiskStore, key: str, payload: bytes) -> None:
+    if store.faults is not None:
+        path = store.path(key)
+        store.faults.before_io("cache_store", path)
+        payload = store.faults.filter_payload("cache_store", path, payload)
+    with store.lock(key, "cache_store"):
+        store.publish(key, lambda tmp: tmp.write_bytes(payload))
+
+
 class ArtifactCache(DiskStore):
     """Two-level content-addressed cache of compiled artifacts.
 
@@ -412,7 +474,8 @@ class ArtifactCache(DiskStore):
     ensemble compiles of the same model within one process).  With a
     directory, artifacts are persisted as ``<key>.json`` in a
     :class:`~repro.store.DiskStore` and survive process restarts (see the
-    module docstring).
+    module docstring); source aliases live in a second store,
+    :attr:`sources`, under ``sources/``.
 
     ``events`` (a ``RuntimeEvents`` log) receives ``cache_quarantined``
     and ``cache_lock_timeout`` incidents; ``faults`` is the storage-fault
@@ -428,32 +491,28 @@ class ArtifactCache(DiskStore):
     ) -> None:
         super().__init__(root, ".json", events, faults, lock_timeout)
         self._memory: dict[str, CompiledArtifacts] = {}
+        #: source alias -> (artifact key, model hash)
+        self.sources = DiskStore(
+            None if self.root is None else self.root / "sources", ".json",
+            events, faults, lock_timeout,
+        )
+        self._source_memory: dict[str, tuple[str, str]] = {}
 
     def load(self, key: str) -> CompiledArtifacts | None:
         hit = self._memory.get(key)
         if hit is not None:
             self.hits += 1
             return hit
-        path = None if self.root is None else self.path(key)
-        if path is not None and path.exists():
-            if self.faults is not None:
-                self.faults.before_io("cache_load", path)
+        if self.root is not None and self.path(key).exists():
             try:
-                obj = json.loads(path.read_text())
+                obj = _read(self, key)
                 if obj.get("format") != ARTIFACT_FORMAT:
                     raise ValueError("artifact format mismatch")
                 artifacts = CompiledArtifacts.from_obj(obj)
-            except (ValueError, KeyError, TypeError, OSError,
-                    UnicodeDecodeError, AttributeError, IndexError,
-                    SyntaxError, RecursionError) as exc:
+            except _LOAD_ERRORS as exc:
                 # A corrupt or stale artifact is a miss, never an error —
                 # but not a *silent* miss: quarantine the bytes and emit
-                # an event, then let the compiler regenerate.  Valid JSON
-                # of the wrong shape lands here too: a non-object document
-                # (AttributeError), a sequence shorter than its consumer
-                # indexes (IndexError), a damaged module source
-                # (SyntaxError), nesting past the interpreter's recursion
-                # limit (RecursionError).
+                # an event, then let the compiler regenerate.
                 self.quarantine(key, f"{type(exc).__name__}: {exc}")
                 self.misses += 1
                 return None
@@ -469,28 +528,73 @@ class ArtifactCache(DiskStore):
         self._memory[key] = artifacts
         if self.root is None:
             return
-        payload = json.dumps(
+        _write(self, key, json.dumps(
             artifacts.to_obj(model_hash, key), separators=(",", ":")
-        ).encode()
-        if self.faults is not None:
-            path = self.path(key)
-            self.faults.before_io("cache_store", path)
-            payload = self.faults.filter_payload("cache_store", path, payload)
-        with self.lock(key, "cache_store"):
-            self.publish(key, lambda tmp: tmp.write_bytes(payload))
+        ).encode())
+
+    def load_source(
+        self, alias: str, options: CompileOptions
+    ) -> tuple[CompiledArtifacts, str, str] | None:
+        """``(artifacts, model_hash, key)`` of the artifact a source alias
+        names, or None.  An alias that fails to load, does not match
+        ``options``, or names an artifact that is not there is quarantined."""
+        entry = self._source_memory.get(alias)
+        if entry is None and self.root is not None:
+            entry = self._read_alias(alias, options)
+        artifacts = None if entry is None else self.load(entry[0])
+        if artifacts is None:
+            self.sources.misses += 1
+            return None
+        self._source_memory[alias] = entry
+        self.sources.hits += 1
+        return artifacts, entry[1], entry[0]
+
+    def _read_alias(
+        self, alias: str, options: CompileOptions
+    ) -> tuple[str, str] | None:
+        if not self.sources.path(alias).exists():
+            return None
+        try:
+            obj = _read(self.sources, alias)
+            if obj["format"] != ARTIFACT_FORMAT:
+                raise ValueError("source alias format mismatch")
+            key, model_hash = obj["cache_key"], obj["model_hash"]
+            # a flipped bit in either hash breaks this equation
+            if artifact_key(model_hash, options) != key:
+                raise ValueError("cache_key does not match model_hash")
+            if key not in self._memory and not self.path(key).exists():
+                raise FileNotFoundError(f"names missing artifact {key}")
+        except _LOAD_ERRORS as exc:
+            self.sources.quarantine(alias, f"{type(exc).__name__}: {exc}")
+            return None
+        return key, model_hash
+
+    def store_source(self, alias: str, key: str, model_hash: str) -> None:
+        """Point a source alias at the artifact ``key`` (written after the
+        artifact, so an alias on disk never precedes what it names)."""
+        self._source_memory[alias] = (key, model_hash)
+        if self.root is None:
+            return
+        _write(self.sources, alias, json.dumps({
+            "format": ARTIFACT_FORMAT, "cache_key": key,
+            "model_hash": model_hash,
+        }, separators=(",", ":")).encode())
 
     def drop_memory(self) -> None:
         """Evict the in-memory layer only (a service shedding memory, or a
         simulated process restart): later loads re-read from disk."""
         self._memory.clear()
+        self._source_memory.clear()
 
     def clear(self) -> None:
-        self._memory.clear()
-        if self.root is not None and self.root.exists():
-            for p in self.root.glob("*.json"):
+        self.drop_memory()
+        for store in (self, self.sources):
+            if store.root is None or not store.root.exists():
+                continue
+            for p in store.root.glob("*.json"):
                 p.unlink()
             for sub in ("locks", "quarantine"):
-                d = self.root / sub
+                d = store.root / sub
                 if d.exists():
                     for p in d.iterdir():
                         with contextlib.suppress(OSError):

@@ -189,9 +189,14 @@ class CompilationContext:
     native_module: "NativeModule | None" = None
     program: "GeneratedProgram | None" = None
     # -- caching ----------------------------------------------------------
+    #: key of the source-text alias (source compiles with caching on)
+    source_key: str | None = None
     model_hash: str | None = None
     cache_key: str | None = None
     cache_hit: bool = False
+    #: the hit came through the source alias: nothing was parsed, and
+    #: ``model``, ``flat`` and ``types`` stay None
+    source_hit: bool = False
     # -- observability -----------------------------------------------------
     diagnostics: list[Diagnostic] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -206,6 +211,8 @@ class CompilationContext:
             return self.flat.name
         if self.model is not None:
             return self.model.name
+        if self.system is not None:
+            return self.system.name
         return ""
 
     # -- diagnostics -------------------------------------------------------

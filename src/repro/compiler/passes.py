@@ -8,6 +8,8 @@ here, declaring what it consumes and produces on the
 =============  =========================  ==========================
 pass           requires                   provides
 =============  =========================  ==========================
+source-alias   (source)                   model_hash, cache_key,
+                                          (partition … native_source)
 parse          (source)                   model
 flatten        (model)                    flat
 typecheck      flat                       types
@@ -25,6 +27,11 @@ link           system, plan, module       program
 cache-store    program                    —
 =============  =========================  ==========================
 
+``source-alias`` looks the source text up in the artifact cache before
+anything parses it (compiles from ``source`` with caching on and no
+``extra_classes``); on a hit ``parse``, ``flatten``, ``typecheck``,
+``fingerprint`` and ``cache-lookup`` skip as "source text cache hit", and
+on a miss ``cache-store`` writes the alias after the artifact.
 ``partition`` through ``codegen`` are skipped on an artifact-cache hit
 (``link_native`` deliberately is not: a hit restores the C translation
 unit, and the native pass re-``dlopen``-s the machine-local build
@@ -61,7 +68,12 @@ from ..codegen.verify import verify_compilable
 from ..model import check_types
 from ..model.flatten import ArrayFlatModel, FlatModel
 from ..symbolic.diff import jacobian_entries
-from .cache import CompiledArtifacts, artifact_key, model_fingerprint
+from .cache import (
+    CompiledArtifacts,
+    artifact_key,
+    model_fingerprint,
+    source_key,
+)
 from .context import CompilationContext, CompileOptions
 from .manager import Pass, PassManager
 
@@ -78,16 +90,60 @@ __all__ = [
 
 #: why the front half skips on a context seeded with the ODE system
 _SEEDED = "caller supplied an OdeSystem"
+#: why the front half skips when the source alias named an artifact
+_SOURCE_HIT = "source text cache hit"
 
 
 def _seeded(ctx: CompilationContext) -> bool:
     """True when the caller handed in the ODE system itself and no flat
-    model: there is nothing to parse, flatten, check, analyse or cache."""
-    return ctx.flat is None and ctx.system is not None
+    model: there is nothing to parse, flatten, check, analyse or cache.
+    (A source-text hit also restores a system without a flat model.)"""
+    return ctx.flat is None and ctx.system is not None and not ctx.source_hit
 
 
-def _skip_when_seeded(ctx: CompilationContext) -> str | None:
-    return _SEEDED if _seeded(ctx) else None
+def _skip_front_half(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
+    if ctx.source_hit:
+        return _SOURCE_HIT
+    return None
+
+
+def _restore(ctx: CompilationContext, hit: CompiledArtifacts) -> None:
+    ctx.cache_hit = True
+    ctx.metrics["cache_hit"] = True
+    ctx.partition = hit.partition
+    ctx.system = hit.system
+    ctx.verify_report = hit.verify_report
+    ctx.plan = hit.plan
+    ctx.module = hit.module
+    ctx.vector_module = hit.vector_module
+    ctx.native_source = hit.native_source
+
+
+def _run_source_alias(ctx: CompilationContext) -> None:
+    ctx.source_key = source_key(ctx.source, ctx.options)
+    hit = ctx.options.cache.load_source(ctx.source_key, ctx.options)
+    ctx.metrics["source_cache_hit"] = hit is not None
+    if hit is None:
+        return
+    artifacts, ctx.model_hash, ctx.cache_key = hit
+    ctx.source_hit = True
+    ctx.metrics["model_hash"] = ctx.model_hash
+    ctx.metrics["cache_key"] = ctx.cache_key
+    _restore(ctx, artifacts)
+
+
+def _skip_source_alias(ctx: CompilationContext) -> str | None:
+    if _seeded(ctx):
+        return _SEEDED
+    if ctx.options.cache is None:
+        return "caching disabled"
+    if ctx.source is None:
+        return "no source text (programmatic model)"
+    if ctx.extra_classes is not None:
+        return "extra classes are not in the source text"
+    return None
 
 
 def _run_parse(ctx: CompilationContext) -> None:
@@ -97,11 +153,10 @@ def _run_parse(ctx: CompilationContext) -> None:
 
 
 def _skip_parse(ctx: CompilationContext) -> str | None:
-    if _seeded(ctx):
-        return _SEEDED
-    if ctx.source is None:
+    reason = _skip_front_half(ctx)
+    if reason is None and ctx.source is None:
         return "no source text (programmatic model)"
-    return None
+    return reason
 
 
 def _run_flatten(ctx: CompilationContext) -> None:
@@ -109,11 +164,10 @@ def _run_flatten(ctx: CompilationContext) -> None:
 
 
 def _skip_flatten(ctx: CompilationContext) -> str | None:
-    if _seeded(ctx):
-        return _SEEDED
-    if ctx.flat is not None:
+    reason = _skip_front_half(ctx)
+    if reason is None and ctx.flat is not None:
         return "caller supplied a flat model"
-    return None
+    return reason
 
 
 def _run_typecheck(ctx: CompilationContext) -> None:
@@ -144,24 +198,15 @@ def _run_fingerprint(ctx: CompilationContext) -> None:
 def _run_cache_lookup(ctx: CompilationContext) -> None:
     hit = ctx.options.cache.load(ctx.cache_key)
     ctx.metrics["cache_hit"] = hit is not None
-    if hit is None:
-        return
-    ctx.cache_hit = True
-    ctx.partition = hit.partition
-    ctx.system = hit.system
-    ctx.verify_report = hit.verify_report
-    ctx.plan = hit.plan
-    ctx.module = hit.module
-    ctx.vector_module = hit.vector_module
-    ctx.native_source = hit.native_source
+    if hit is not None:
+        _restore(ctx, hit)
 
 
-def _skip_when_no_cache(ctx: CompilationContext) -> str | None:
-    if _seeded(ctx):
-        return _SEEDED
-    if ctx.options.cache is None:
+def _skip_cache_lookup(ctx: CompilationContext) -> str | None:
+    reason = _skip_front_half(ctx)
+    if reason is None and ctx.options.cache is None:
         return "caching disabled"
-    return None
+    return reason
 
 
 def _skip_when_cached(ctx: CompilationContext) -> str | None:
@@ -170,8 +215,8 @@ def _skip_when_cached(ctx: CompilationContext) -> str | None:
     return None
 
 
-def _skip_front(ctx: CompilationContext) -> str | None:
-    return _skip_when_seeded(ctx) or _skip_when_cached(ctx)
+def _skip_analysis(ctx: CompilationContext) -> str | None:
+    return _SEEDED if _seeded(ctx) else _skip_when_cached(ctx)
 
 
 def _scalarize_trigger(ctx: CompilationContext) -> str | None:
@@ -388,19 +433,25 @@ def _run_link(ctx: CompilationContext) -> None:
 
 
 def _run_cache_store(ctx: CompilationContext) -> None:
-    ctx.options.cache.store(
-        ctx.cache_key,
-        CompiledArtifacts(
-            partition=ctx.partition,
-            system=ctx.system,
-            verify_report=ctx.verify_report,
-            plan=ctx.plan,
-            module=ctx.module,
-            vector_module=ctx.vector_module,
-            native_source=ctx.native_source,
-        ),
-        model_hash=ctx.model_hash,
-    )
+    cache = ctx.options.cache
+    if not ctx.cache_hit:
+        cache.store(
+            ctx.cache_key,
+            CompiledArtifacts(
+                partition=ctx.partition,
+                system=ctx.system,
+                verify_report=ctx.verify_report,
+                plan=ctx.plan,
+                module=ctx.module,
+                vector_module=ctx.vector_module,
+                native_source=ctx.native_source,
+            ),
+            model_hash=ctx.model_hash,
+        )
+    if ctx.source_key is not None:
+        # also after a model-key hit: the next compile of this text
+        # skips the parse
+        cache.store_source(ctx.source_key, ctx.cache_key, ctx.model_hash)
 
 
 def _skip_store(ctx: CompilationContext) -> str | None:
@@ -408,7 +459,7 @@ def _skip_store(ctx: CompilationContext) -> str | None:
         return _SEEDED
     if ctx.options.cache is None:
         return "caching disabled"
-    if ctx.cache_hit:
+    if ctx.source_hit or (ctx.cache_hit and ctx.source_key is None):
         return "artifact cache hit (already stored)"
     if isinstance(ctx.system, ArraySystem):
         return "array-system artifacts not cacheable (flatten_mode=array)"
@@ -423,6 +474,13 @@ def _skip_store(ctx: CompilationContext) -> str | None:
 def build_default_manager() -> PassManager:
     """The standard Figure-7 pipeline as an ordered, inspectable object."""
     return PassManager([
+        Pass("source-alias", _run_source_alias, requires=(),
+             provides=("model_hash", "cache_key", "partition", "system",
+                       "verify_report", "plan", "module", "vector_module",
+                       "native_source"),
+             description="restore artifacts on a source-text hit, before "
+                         "parsing",
+             skip_when=_skip_source_alias),
         Pass("parse", _run_parse, requires=(), provides=("model",),
              description="ObjectMath-like source text → Model",
              skip_when=_skip_parse),
@@ -432,16 +490,16 @@ def build_default_manager() -> PassManager:
         Pass("typecheck", _run_typecheck, requires=("flat",),
              provides=("types",),
              description="type derivation and structural checking",
-             skip_when=_skip_when_seeded),
+             skip_when=_skip_front_half),
         Pass("fingerprint", _run_fingerprint, requires=("flat",),
              provides=("model_hash", "cache_key"),
              description="content hash of flat model + codegen options",
-             skip_when=_skip_when_seeded),
+             skip_when=_skip_front_half),
         Pass("cache-lookup", _run_cache_lookup, requires=("cache_key",),
              provides=("partition", "system", "verify_report", "plan",
                        "module", "vector_module", "native_source"),
              description="restore artifacts on a content-hash hit",
-             skip_when=_skip_when_no_cache),
+             skip_when=_skip_cache_lookup),
         Pass("scalarize", _run_scalarize, requires=(),
              provides=("flat", "system"),
              description="lower an array flat model (or seeded array "
@@ -451,11 +509,11 @@ def build_default_manager() -> PassManager:
         Pass("partition", _run_analysis_partition, requires=("flat",),
              provides=("partition",),
              description="dependency graph → SCC partition + levels",
-             skip_when=_skip_front),
+             skip_when=_skip_analysis),
         Pass("transform", _run_transform, requires=("flat",),
              provides=("system",),
              description="expression transformer → explicit ODE system",
-             skip_when=_skip_front),
+             skip_when=_skip_analysis),
         Pass("verify", _run_verify, requires=("system",),
              provides=("verify_report",),
              description="compilable-subset verifier",

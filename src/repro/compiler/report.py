@@ -67,6 +67,14 @@ class PipelineReport:
         )
 
     @property
+    def cache_status(self) -> str:
+        if not self.cache_hit:
+            return "miss/disabled"
+        if self.metrics.get("source_cache_hit"):
+            return "hit (source text)"
+        return "hit"
+
+    @property
     def skipped_passes(self) -> tuple[str, ...]:
         return tuple(
             m["name"] for m in self.passes if m["status"] == "skipped"
@@ -95,7 +103,7 @@ class PipelineReport:
             f"compile pipeline for model {self.model!r} "
             f"(backend {self.backend}):",
             f"  model hash: {self.model_hash or '<not computed>'}",
-            f"  cache: {'hit' if self.cache_hit else 'miss/disabled'}",
+            f"  cache: {self.cache_status}",
             f"  {'pass':<12} {'time':>10}  {'nodes':>13}  status",
         ]
         for m in self.passes:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import difflib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Union
 
 from .analysis import Partition
@@ -33,7 +34,12 @@ from .codegen import (
     GeneratedProgram,
     OdeSystem,
 )
-from .compiler import CompileOptions, PipelineReport, compile_context
+from .compiler import (
+    CompilationContext,
+    CompileOptions,
+    PipelineReport,
+    compile_context,
+)
 from .model import FlatModel, Model, TypeReport
 from .model.classes import ModelClass
 
@@ -42,34 +48,59 @@ __all__ = ["CompiledModel", "compile_model", "compile_source"]
 
 @dataclass
 class CompiledModel:
-    """Everything the pipeline produces for one model."""
+    """Everything the pipeline produces for one model.
 
-    model: Model | None
-    flat: FlatModel
-    types: TypeReport
+    ``model``, ``flat`` and ``types`` are the front half's artifacts.  A
+    compile served by the source-text cache never parsed, so they are
+    derived from its source on first access, by the same passes; nothing
+    in the compile or solve path reads them.
+    """
+
     partition: Partition
     system: OdeSystem
     program: GeneratedProgram
-    #: per-pass observability record from the driver (None for hand-built
-    #: instances; always set by compile_model/compile_source)
+    #: the pipeline run this came from
+    context: CompilationContext = field(repr=False, compare=False)
+    #: per-pass observability record from the driver
     report: PipelineReport | None = field(default=None, compare=False)
 
     @classmethod
-    def from_context(cls, ctx) -> "CompiledModel":
+    def from_context(cls, ctx: CompilationContext) -> "CompiledModel":
         """The artifacts of a pipeline run, with its report."""
         return cls(
-            model=ctx.model,
-            flat=ctx.flat,
-            types=ctx.types,
             partition=ctx.partition,
             system=ctx.system,
             program=ctx.program,
+            context=ctx,
             report=PipelineReport.from_context(ctx),
         )
 
+    @cached_property
+    def _front(self) -> CompilationContext:
+        ctx = self.context
+        if ctx.source_hit:
+            ctx = compile_context(
+                source=ctx.source,
+                options=replace(ctx.options, cache=None, dump_after=()),
+                until="scalarize",
+            )
+        return ctx
+
+    @property
+    def model(self) -> Model | None:
+        return self._front.model
+
+    @property
+    def flat(self) -> FlatModel:
+        return self._front.flat
+
+    @property
+    def types(self) -> TypeReport:
+        return self._front.types
+
     @property
     def name(self) -> str:
-        return self.flat.name
+        return self.context.model_name
 
     @property
     def model_hash(self) -> str | None:

@@ -21,7 +21,6 @@ import functools
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .common import (
     MAX_FACTOR,
@@ -102,6 +101,9 @@ class BdfStepper(Stepper):
         self._LU = None
 
     def _factorise(self, c: float) -> None:
+        # SciPy loads with the first factorisation, not with repro.solver
+        from scipy.linalg import lu_factor
+
         assert self._J is not None
         self._LU = lu_factor(np.eye(self.n) - c * self._J)
         self._lu_h = self.h
@@ -149,6 +151,8 @@ class BdfStepper(Stepper):
         scale: np.ndarray,
     ) -> tuple[bool, np.ndarray, np.ndarray]:
         """Modified-Newton iteration; returns (converged, y, d)."""
+        from scipy.linalg import lu_solve
+
         d = np.zeros(self.n)
         y = y_predict.copy()
         dy_norm_old: float | None = None

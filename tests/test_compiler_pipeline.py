@@ -37,6 +37,7 @@ from repro.codegen import (
     verify_compilable,
 )
 from repro.codegen.fuse import fuse_plan
+from repro.codegen.native import NativeCache, find_compiler
 from repro.compiler import (
     ArtifactCache,
     CACHE_SKIPPED_PASSES,
@@ -50,7 +51,8 @@ from repro.compiler import (
     compile_context,
     model_fingerprint,
 )
-from repro.frontend import compile_model, compile_source
+import repro.compiler.cache as cache_module
+from repro.frontend import CompiledModel, compile_model, compile_source
 from repro.model import check_types
 
 #: tests here call intern_cache_clear()
@@ -119,8 +121,9 @@ class TestSeededSystem:
     """generate_program is the default pipeline on a context seeded with
     the ODE system: the front half skips by rule, the back half runs."""
 
-    FRONT = {"parse", "flatten", "typecheck", "fingerprint", "cache-lookup",
-             "scalarize", "partition", "transform", "cache-store"}
+    FRONT = {"source-alias", "parse", "flatten", "typecheck", "fingerprint",
+             "cache-lookup", "scalarize", "partition", "transform",
+             "cache-store"}
 
     def test_front_passes_skip_as_caller_supplied(self):
         system = make_ode_system(build_servo().flatten())
@@ -519,3 +522,137 @@ class TestCompileCli:
         err = capsys.readouterr().err
         assert "error[parse]" in err
         assert "Traceback" not in err
+
+
+def _source_compile(root, source=_CLI_MODEL, **options):
+    """One compile of source text on a fresh cache object over ``root``."""
+    return compile_context(source=source, options=CompileOptions(
+        cache=ArtifactCache(root), **options))
+
+
+class TestSourceAlias:
+    """A warm compile of unchanged source text reads one alias entry and
+    the artifact it names: nothing is parsed."""
+
+    FRONT = ("parse", "flatten", "typecheck", "fingerprint", "cache-lookup")
+
+    @pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+    def test_warm_compile_skips_the_front_half(self, tmp_path, backend):
+        if backend == "c" and find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        options = {"backend": backend, "jacobian": True}
+        if backend == "c":
+            options["native_cache"] = NativeCache(tmp_path / "native")
+        cold = _source_compile(tmp_path, **options)
+        warm = _source_compile(tmp_path, **options)
+        assert not cold.cache_hit and not cold.source_hit
+        assert warm.cache_hit and warm.source_hit
+        assert warm.metrics["cache_hit"] and warm.metrics["source_cache_hit"]
+        skipped = warm.metrics["passes_skipped"]
+        assert {skipped[name] for name in self.FRONT} == {
+            "source text cache hit"
+        }
+        for name in CACHE_SKIPPED_PASSES:
+            assert skipped[name] == "artifact cache hit"
+        assert warm.model is None and warm.flat is None and warm.types is None
+        assert (warm.model_hash, warm.cache_key) == (
+            cold.model_hash, cold.cache_key
+        )
+        new, old = warm.program, cold.program
+        assert new.module.source == old.module.source
+        if backend == "numpy":
+            assert new.vector_module.source == old.vector_module.source
+        if backend == "c":
+            assert warm.native_source == cold.native_source
+            assert warm.metrics["native_cache_hit"] is True
+            assert new.backend == "c"
+        y0 = old.start_vector()
+        assert np.array_equal(new.rhs(0.0, y0), old.rhs(0.0, y0))
+        assert np.array_equal(new.make_jac()(0.0, y0),
+                              old.make_jac()(0.0, y0))
+
+    def test_compiled_model_derives_the_front_half_on_first_access(
+        self, tmp_path
+    ):
+        from repro.solver import solve_ivp
+
+        cold = CompiledModel.from_context(_source_compile(tmp_path))
+        warm = CompiledModel.from_context(_source_compile(tmp_path))
+        assert warm.context.source_hit
+        assert warm.name == cold.name == "pipe_cli"
+        assert warm.model_hash == cold.model_hash
+        # compiling and solving read none of model / flat / types
+        program = warm.program
+        solve_ivp(program.make_rhs(), (0.0, 1.0), program.start_vector())
+        assert "_front" not in vars(warm)
+        assert model_fingerprint(warm.flat) == cold.model_hash
+        assert warm.model.name == cold.model.name
+        assert warm.types.num_checked_nodes == cold.types.num_checked_nodes
+        assert warm.summary().splitlines()[:4] == \
+            cold.summary().splitlines()[:4]
+
+    def test_layout_edit_misses_the_alias_but_hits_the_model_key(
+        self, tmp_path
+    ):
+        edit = _CLI_MODEL.replace("\n", "\n\n")
+        cold = _source_compile(tmp_path)
+        edited = _source_compile(tmp_path, source=edit)
+        assert edited.cache_hit and not edited.source_hit
+        assert "parse" in edited.metrics["passes_ran"]
+        assert edited.cache_key == cold.cache_key
+        # the model-key hit still writes the edited text's alias
+        assert "cache-store" in edited.metrics["passes_ran"]
+        assert _source_compile(tmp_path, source=edit).source_hit
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(list((tmp_path / "sources").glob("*.json"))) == 2
+
+    def test_extra_classes_never_use_the_alias(self, tmp_path):
+        for _ in range(2):
+            ctx = compile_context(
+                source=_CLI_MODEL, extra_classes={},
+                options=CompileOptions(cache=ArtifactCache(tmp_path)),
+            )
+            assert ctx.metrics["passes_skipped"]["source-alias"] == (
+                "extra classes are not in the source text"
+            )
+            assert "parse" in ctx.metrics["passes_ran"]
+        assert ctx.cache_hit and not ctx.source_hit
+        assert not (tmp_path / "sources").exists()
+
+    def test_another_package_build_misses(self, tmp_path, monkeypatch):
+        cold = _source_compile(tmp_path)
+        monkeypatch.setattr(cache_module, "package_digest",
+                            lambda: "another build")
+        warm = _source_compile(tmp_path)
+        assert warm.cache_hit and not warm.source_hit
+        assert warm.source_key != cold.source_key
+        assert _source_compile(tmp_path).source_hit
+
+    def test_memory_only_cache(self):
+        cache = ArtifactCache()
+        options = CompileOptions(cache=cache)
+        compile_context(source=_CLI_MODEL, options=options)
+        ctx = compile_context(source=_CLI_MODEL, options=options)
+        assert ctx.source_hit
+        assert cache.sources.hits == 1 and cache.sources.misses == 1
+
+    def test_cli_explain_and_report_on_a_hit(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "model.om"
+        path.write_text(_CLI_MODEL)
+        cache_dir = str(tmp_path / "cache")
+        for name in ("cold", "warm"):
+            assert main(["compile", str(path), "--explain", "--cache-dir",
+                         cache_dir, "--report",
+                         str(tmp_path / f"{name}.json")]) == 0
+        out = capsys.readouterr().out
+        assert "cache: hit (source text)" in out
+        assert "skipped (source text cache hit)" in out
+        cold, warm = (json.loads((tmp_path / f"{name}.json").read_text())
+                      for name in ("cold", "warm"))
+        assert warm["model"] == cold["model"] == "pipe_cli"
+        assert warm["model_hash"] == cold["model_hash"]
+        assert warm["cache_hit"] and warm["metrics"]["source_cache_hit"]
+        ran = [p["name"] for p in warm["passes"] if p["status"] == "ran"]
+        assert ran == ["source-alias", "link"]

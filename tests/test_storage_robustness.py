@@ -287,6 +287,67 @@ class TestCacheCrashConsistency:
         assert not list((root / "locks").glob("*"))
 
 
+class TestSourceAliasFaults:
+    """A damaged source alias is quarantined, never raised: the compile
+    parses, hits the model key, and writes the alias again."""
+
+    #: the text differs from ``_SRC`` in layout only: its compile hits the
+    #: model key, so its cache-store writes nothing but the alias
+    EDIT = _SRC.replace("\n", "\n\n")
+
+    def recovers(self, root):
+        events = RuntimeEvents()
+        cache = ArtifactCache(root, events=events)
+        ctx = compile_into(cache, self.EDIT)
+        assert ctx.cache_hit and not ctx.source_hit
+        assert cache.sources.quarantined == 1 and cache.quarantined == 0
+        assert events.count("cache_quarantined") == 1
+        assert len(list((root / "sources" / "quarantine").glob("*"))) == 1
+        assert compile_into(ArtifactCache(root), self.EDIT).source_hit
+
+    @pytest.mark.parametrize("kind", ["torn_write", "bit_flip"])
+    def test_injected_fault_on_the_alias_write(self, tmp_path, kind):
+        root = tmp_path / "cache"
+        compile_into(ArtifactCache(root))
+        faults = StorageFaultInjector(
+            [StorageFaultSpec(op="cache_store", kind=kind)], seed=3,
+        )
+        compile_into(ArtifactCache(root, faults=faults), self.EDIT)
+        assert faults.fired == 1
+        self.recovers(root)
+
+    def test_alias_naming_a_missing_artifact(self, tmp_path):
+        root = tmp_path / "cache"
+        compile_into(ArtifactCache(root))
+        ctx = compile_into(ArtifactCache(root), self.EDIT)
+        # a self-consistent entry for a model this cache never stored
+        model_hash = "0" * 64
+        ghost = artifact_key(model_hash, ctx.options)
+        (root / "sources" / f"{ctx.source_key}.json").write_text(json.dumps({
+            "format": cache_module.ARTIFACT_FORMAT, "cache_key": ghost,
+            "model_hash": model_hash,
+        }))
+        self.recovers(root)
+
+    def test_every_single_bit_flip_is_caught(self, tmp_path):
+        """Not just the seeded one: a flip anywhere in the entry — the
+        format, a key name, either hash — is a quarantined miss."""
+        root = tmp_path / "cache"
+        ctx = compile_into(ArtifactCache(root))
+        path = root / "sources" / f"{ctx.source_key}.json"
+        good = path.read_bytes()
+        for pos in range(0, len(good), 7):
+            for bit in (0, 5):
+                flipped = bytearray(good)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                cache = ArtifactCache(root)
+                assert cache.load_source(ctx.source_key, ctx.options) is None
+                assert cache.sources.quarantined == 1
+        path.write_bytes(good)
+        assert compile_into(ArtifactCache(root)).source_hit
+
+
 def _deep_chain(obj):
     # sin(sin(...sin(x))) 3 000 deep, then summed: the decoder itself is
     # iterative, the canonical ordering of the sum is not
