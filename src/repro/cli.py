@@ -28,20 +28,27 @@ from .codegen import (
     write_start_file,
 )
 
-from .frontend import compile_source
+from .frontend import CompiledModel
 from .language import load_model
 from .solver import solve_ivp
 
 __all__ = ["main"]
 
 
-def _load(path: str, backend: str = "python", fuse: bool = True):
+def _load(path: str, cache_dir: str | None = None, **options) -> CompiledModel:
+    """Compile the model file; with ``cache_dir``, through the artifact
+    cache there, so a repeat run of unchanged text does not parse."""
+    from .compiler import ArtifactCache, CompileOptions, compile_context
+
     source = Path(path).read_text()
-    return compile_source(source, backend=backend, fuse=fuse)
+    cache = ArtifactCache(cache_dir) if cache_dir else None
+    return CompiledModel.from_context(compile_context(
+        source=source, options=CompileOptions(cache=cache, **options)
+    ))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    compiled = _load(args.model)
+    compiled = _load(args.model, args.cache_dir)
     print(compiled.summary())
     print()
     print(compiled.partition.summary())
@@ -49,7 +56,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    compiled = _load(args.model)
+    compiled = _load(args.model, args.cache_dir)
     dot = partition_to_dot(compiled.partition, name=compiled.name)
     if args.output:
         Path(args.output).write_text(dot)
@@ -108,11 +115,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
-    source = Path(args.model).read_text()
     backend = "numpy" if args.target == "numpy" else "python"
-    compiled = compile_source(
-        source, shared_cse=args.shared_cse, backend=backend
-    )
+    compiled = _load(args.model, args.cache_dir, shared_cse=args.shared_cse,
+                     backend=backend)
     system = compiled.system
     plan = compiled.program.plan
     if args.target == "f90":
@@ -148,7 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .runtime.events import RuntimeEvents
     from .solver.recovery import RecoveryPolicy, SolverFailure
 
-    compiled = _load(args.model, backend=args.backend,
+    compiled = _load(args.model, args.cache_dir, backend=args.backend,
                      fuse=not args.no_fuse)
     program = compiled.program
     y0 = program.start_vector()
@@ -384,6 +389,13 @@ def _cmd_export_app(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_cache_dir(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache-dir", metavar="PATH",
+                   help="content-addressed artifact cache directory; an "
+                        "unchanged model skips analysis and codegen, and "
+                        "unchanged source text skips the parser too")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -393,11 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="flatten, type-check and partition")
     p.add_argument("model")
+    _add_cache_dir(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("graph", help="emit the SCC partition as DOT")
     p.add_argument("model")
     p.add_argument("-o", "--output")
+    _add_cache_dir(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser(
@@ -428,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "seconds (default: automatic)")
     p.add_argument("--explain", action="store_true",
                    help="print the per-pass wall-time/node-count table")
-    p.add_argument("--cache-dir", metavar="PATH",
-                   help="content-addressed artifact cache directory; an "
-                        "unchanged model skips analysis and codegen")
+    _add_cache_dir(p)
     p.add_argument("--dump-after", action="append", metavar="PASS",
                    help="print a context snapshot after the named pass "
                         "(repeatable; '*' dumps after every pass)")
@@ -448,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compute large shared subexpressions in dedicated "
                         "producer tasks (section 3.3's parallel-CSE mode)")
     p.add_argument("-o", "--output")
+    _add_cache_dir(p)
     p.set_defaults(func=_cmd_codegen)
 
     p = sub.add_parser("startfile", help="write the start-value file")
@@ -528,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the full trajectory as CSV")
     p.add_argument("--plot", nargs="+", metavar="STATE",
                    help="ASCII-plot the named states")
+    _add_cache_dir(p)
     p.set_defaults(func=_cmd_simulate)
     return parser
 

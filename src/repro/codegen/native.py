@@ -9,12 +9,13 @@ callables with the exact signatures the runtime already uses —
 ``fn(t, y, p, out)`` writing into caller-owned float64 buffers, and the
 task runner ``run_tasks(ids, t, y, p, out, times)`` that evaluates a
 whole task list in one call.  Each is one ``METH_FASTCALL`` call that
-checks every buffer and releases the GIL around the C code, so
-:class:`~repro.runtime.ThreadedExecutor` gets true multi-core
-parallelism from native tasks.  The generated units never include
-``<Python.h>``; the glue is built once per (machine, toolchain,
-interpreter) into ``glue/`` under the cache and imported once per
-process.
+checks every buffer and releases the GIL around the C code.  The glue's
+``Pool`` goes one step further: a pthread pool that runs a whole round
+— every dependency level, a barrier after each — in one call, which is
+how :class:`~repro.runtime.ThreadedExecutor` runs native programs.  The
+generated units never include ``<Python.h>``; the glue is built once per
+(machine, toolchain, interpreter) into ``glue/`` under the cache and
+imported once per process.
 
 Build products are content-addressed: the cache key digests the C
 source, the compile flags, and the compiler's version line, so a model
@@ -36,7 +37,6 @@ call the same libm; CPython's ``math`` does too).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
 import os
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..store import DiskStore
+from ..store import DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES, DiskStore
 from .gen_c import NativeSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -236,7 +236,8 @@ def _build_glue(cache_root: Path) -> Path:
             )
         try:
             store.publish(name, lambda tmp: _compile(
-                probe["cc"], GLUE_SOURCE, tmp, f"-I{include}", "-ldl"
+                probe["cc"], GLUE_SOURCE, tmp, f"-I{include}", "-ldl",
+                "-pthread",
             ))
         except OSError as exc:
             raise NativeUnavailable(
@@ -281,7 +282,8 @@ class NativeModule:
     ``run_tasks(ids, t, y, p, out, times)`` is the task runner: the tasks
     of the tuple ``ids`` in order, in one C call (one GIL release), each
     one's wall time written to ``times[id]``.  ``tasks[k]`` is a one-task
-    ``run_tasks`` call.  Every call checks its buffers and raises
+    ``run_tasks`` call.  :meth:`pool` starts the glue's thread pool over
+    this unit.  Every call checks its buffers and raises
     ``ValueError`` naming a wrong one.  ``native`` keeps the
     :class:`NativeSource` and ``glue_path`` the glue's file, so
     :class:`~repro.codegen.program.ProgramSpec` can ship both to
@@ -294,6 +296,7 @@ class NativeModule:
         self.path = path
         self.native = native
         self.glue_path = Path(glue.__file__)
+        self._pool_type = glue.Pool
         self._unit = glue.open(
             str(path), native.num_states, native.num_partials,
             native.num_tasks, native.num_params,
@@ -307,6 +310,13 @@ class NativeModule:
             _one_task(self.run_tasks, k, times)
             for k in range(native.num_tasks)
         ]
+
+    def pool(self, num_workers: int, levels, timeout: float):
+        """The glue's ``Pool``: ``num_workers - 1`` threads that run whole
+        rounds of this unit's tasks with the caller, ``levels`` (task ids
+        per dependency level) one after another, a barrier wait after
+        each bounded by ``timeout`` seconds.  See ``_native.c``."""
+        return self._pool_type(self._unit, num_workers, levels, timeout)
 
     def start(self) -> np.ndarray:
         return self._unit.start(np.empty(self.native.num_states))
@@ -368,25 +378,20 @@ class NativeCache(DiskStore):
     recording a ``native_cache_evicted`` event per victim.
     """
 
+    evict_event = "native_cache_evicted"
+
     def __init__(
         self,
         root: str | Path | None = None,
-        max_entries: int = 256,
-        max_bytes: int = 512 * 1024 * 1024,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        max_bytes: int = DEFAULT_MAX_BYTES,
         events: "RuntimeEvents | None" = None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
         super().__init__(
             root if root is not None else default_native_cache_dir(),
-            ".so", events,
+            ".so", events, max_entries=max_entries, max_bytes=max_bytes,
         )
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._modules: dict[str, NativeModule] = {}
-        self.evictions = 0
 
     so_path = DiskStore.path
 
@@ -415,8 +420,7 @@ class NativeCache(DiskStore):
             self.misses += 1
         else:
             self.hits += 1
-            with contextlib.suppress(OSError):  # read-only cache dir
-                os.utime(path)  # for the mtime-ordered eviction
+            self.touch(key)
         self._modules[key] = module
         return module, "build" if built else "disk"
 
@@ -449,41 +453,11 @@ class NativeCache(DiskStore):
         self.evict(protect=path)
         return True
 
-    def evict(self, protect: Path | None = None) -> int:
-        """Drop oldest ``.so`` files beyond the size/count bounds."""
-        try:
-            entries = [(p, p.stat()) for p in self.root.glob("*.so")]
-        except OSError:  # pragma: no cover - cache dir vanished
-            return 0
-        entries.sort(key=lambda e: e[1].st_mtime)
-        total = sum(st.st_size for _, st in entries)
-        evicted = 0
-        for path, st in entries:
-            if len(entries) - evicted <= 1:
-                break  # always keep the newest object
-            within = (
-                len(entries) - evicted <= self.max_entries
-                and total <= self.max_bytes
-            )
-            if within:
-                break
-            if protect is not None and path == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            self._modules.pop(path.stem, None)
-            total -= st.st_size
-            evicted += 1
-            self.evictions += 1
-            if self.events is not None:
-                self.events.record(
-                    "native_cache_evicted",
-                    key=path.stem, size=st.st_size,
-                    reason=f"bounds: max_entries={self.max_entries}, "
-                           f"max_bytes={self.max_bytes}",
-                )
+    def evict(self, protect: Path | None = None) -> list[str]:
+        """Drop the oldest ``.so`` files beyond the size/count bounds."""
+        evicted = super().evict(protect)
+        for key in evicted:
+            self._modules.pop(key, None)
         return evicted
 
     def __repr__(self) -> str:

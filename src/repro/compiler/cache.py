@@ -27,6 +27,9 @@ format, the codegen options and the package's own code
 compiled to.  A hit loads that artifact without parsing; the artifact
 itself stays keyed by the flat model, so text that differs only in
 layout shares one artifact and gets an alias of its own after one parse.
+Aliases are bounded as the native cache is (the oldest go first, by
+mtime, which a hit refreshes): an edit to the package orphans every
+alias written before it.
 
 The on-disk level is a :class:`~repro.store.DiskStore`, shared with the
 native build cache: **crash-consistent and multi-process safe**
@@ -62,7 +65,7 @@ from ..codegen.transform import OdeSystem
 from ..codegen.verify import VerifyReport
 from ..model.flatten import ArrayFlatModel, FlatModel
 from ..schedule.task import Task, TaskGraph
-from ..store import DiskStore
+from ..store import DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES, DiskStore
 from ..symbolic.expr import Expr
 from ..symbolic.serialize import (
     ExprTable,
@@ -491,10 +494,12 @@ class ArtifactCache(DiskStore):
     ) -> None:
         super().__init__(root, ".json", events, faults, lock_timeout)
         self._memory: dict[str, CompiledArtifacts] = {}
-        #: source alias -> (artifact key, model hash)
+        #: source alias -> (artifact key, model hash); bounded, since an
+        #: edit to the package orphans every alias written before it
         self.sources = DiskStore(
             None if self.root is None else self.root / "sources", ".json",
             events, faults, lock_timeout,
+            max_entries=DEFAULT_MAX_ENTRIES, max_bytes=DEFAULT_MAX_BYTES,
         )
         self._source_memory: dict[str, tuple[str, str]] = {}
 
@@ -567,6 +572,7 @@ class ArtifactCache(DiskStore):
         except _LOAD_ERRORS as exc:
             self.sources.quarantine(alias, f"{type(exc).__name__}: {exc}")
             return None
+        self.sources.touch(alias)
         return key, model_hash
 
     def store_source(self, alias: str, key: str, model_hash: str) -> None:
@@ -579,6 +585,7 @@ class ArtifactCache(DiskStore):
             "format": ARTIFACT_FORMAT, "cache_key": key,
             "model_hash": model_hash,
         }, separators=(",", ":")).encode())
+        self.sources.evict(protect=self.sources.path(alias))
 
     def drop_memory(self) -> None:
         """Evict the in-memory layer only (a service shedding memory, or a

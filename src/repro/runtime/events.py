@@ -43,12 +43,14 @@ EVENT_KINDS = (
     "worker_dead",
     "degraded",
     "close_timeout",
+    "pool_retired",
     "rhs_retry",
     "solver_failure",
     "checkpoint_saved",
     "checkpoint_resumed",
     "checkpoint_fallback",
     "cache_quarantined",
+    "cache_evicted",
     "cache_lock_timeout",
     "job_submitted",
     "job_attempt",

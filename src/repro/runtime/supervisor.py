@@ -148,6 +148,7 @@ def _stage_state(k: np.ndarray, i: int, a_rows, h_dir: float,
 
 def _evaluate_stagewise(
     executor, t, y, p, k, a_rows, c, h_dir, start, stop, res, schedule,
+    accumulate: bool = False,
 ) -> None:
     """Runge–Kutta stages ``start .. stop-1``, one ``executor.evaluate``
     round per stage, filling rows of ``k`` in place.
@@ -157,15 +158,25 @@ def _evaluate_stagewise(
     ``evaluate``, so on a pool an aborted optimistic round loses only its
     head start, never any fault tolerance.  The stage state is recomputed
     from the caller's ``k``, so recovered chunks stay bit-identical.
+    ``accumulate`` sums the stages' task times, one round per stage, as
+    a K-stage chunk does; otherwise the last stage's times are kept.
     """
     n = executor.program.num_states
     y_stage = np.empty(n, dtype=float)
+    times = executor.last_task_times
+    total = np.zeros_like(times) if accumulate else None
     for i in range(start, stop):
         _stage_state(k, i, a_rows, h_dir, y, y_stage)
         res.fill(0.0)
         executor.evaluate(t + c[i] * h_dir, y_stage, p, res, schedule)
         k[i] = res[:n]
-    executor.last_times_rounds = 1
+        if accumulate:
+            total += times
+    if accumulate and stop > start:
+        times[:] = total
+        executor.last_times_rounds = stop - start
+    else:
+        executor.last_times_rounds = 1
 
 
 class SerialExecutor:
@@ -753,7 +764,12 @@ class _PoolExecutor:
     ) -> None:
         """Run one RHS round under ``schedule`` (defaults to LPT)."""
         p, schedule = self._check_call(p, schedule)
-        round_index = self._begin_round()
+        self._ladder_round(t, y, p, res, schedule, self._begin_round())
+
+    def _ladder_round(self, t, y, p, res, schedule: Schedule,
+                      round_index: int) -> None:
+        """One round over the transport, level by level through the
+        hardened barrier of :meth:`_run_level`."""
         bufs = self._transport.bind(y, p, res)
         # Clear stale measurements so an aborted evaluation can never leave
         # the semi-dynamic LPT scheduling from a mix of rounds.
@@ -1069,6 +1085,17 @@ class ThreadedExecutor(_PoolExecutor):
     """Persistent worker threads executing scheduled task lists: the
     round protocol of :class:`_PoolExecutor` over the thread transport.
 
+    A native program run without a fault injector takes the glue's
+    thread pool instead (``NativeModule.pool``): a round is one C call
+    that releases the GIL once, the calling thread runs worker 0's share,
+    and ``num_workers - 1`` pthreads run the others', with a barrier
+    after each dependency level and no Python in between.  A round whose
+    results are not finite (under ``validate_outputs``), or in which a
+    worker misses ``level_timeout``, is re-run through the hardened
+    barrier on the thread transport, whose threads are parked until then,
+    so the recovery ladder and its events are those of any other round.
+    A missed deadline also retires the pool for good.
+
     Options (all keyword-only): ``injector``, ``events``,
     ``retry_policy``, ``level_timeout``, ``validate_outputs``,
     ``min_workers``, ``join_timeout`` — see :class:`_PoolExecutor`.
@@ -1076,12 +1103,107 @@ class ThreadedExecutor(_PoolExecutor):
 
     def __init__(self, program: GeneratedProgram, num_workers: int,
                  **options) -> None:
+        #: the glue's thread pool, while native rounds are on
+        self._pool = None
         super().__init__(program, num_workers, **options)
         self._transport = _ThreadTransport(
             num_workers, self._run, self.last_task_times
         )
+        native = program.native_module
+        if native is None or self.injector is not None:
+            return
+        try:
+            self._pool = native.pool(num_workers, self._levels,
+                                     self.level_timeout)
+        except OSError:  # no threads to be had: the transport serves
+            return
+        #: the schedule the pool's task tables were built for
+        self._pool_schedule: Schedule | None = None
+        owned = np.unique(np.concatenate(self._slots)) if self._slots else ()
+        #: the result slots a round writes, checked for NaN/Inf
+        self._checked = (slice(None) if len(owned) == program.num_states
+                         + program.num_partials else owned)
 
     @property
     def zombie_workers(self) -> list[int]:
         """Workers that did not join within ``join_timeout`` at close."""
         return self._transport.zombies
+
+    def _pool_round(self, t, y, p, res, schedule: Schedule) -> bool:
+        """One round on the pool; False sends it to the ladder."""
+        pool = self._pool
+        if schedule is not self._pool_schedule:
+            pool.assign(schedule.assignment)
+            self._pool_schedule = schedule
+        try:
+            done = pool.round(t, y, p, res, self.last_task_times)
+        except ValueError:  # a buffer the tasks cannot take: as today
+            return False
+        if not done:
+            self._retire_pool()
+            return False
+        self.last_times_rounds = 1
+        return (not self.validate_outputs
+                or bool(np.isfinite(res[self._checked]).all()))
+
+    def _retire_pool(self) -> None:
+        """A worker missed ``level_timeout``: stop the pool for good."""
+        pool, self._pool = self._pool, None
+        stuck = pool.close(self.join_timeout)
+        self.events.record("pool_retired", reason="round timeout",
+                           timeout=self.level_timeout, stuck_threads=stuck)
+
+    def evaluate(
+        self,
+        t: float,
+        y: np.ndarray,
+        p: np.ndarray,
+        res: np.ndarray,
+        schedule: Schedule | None = None,
+    ) -> None:
+        """Run one RHS round under ``schedule`` (defaults to LPT)."""
+        p, schedule = self._check_call(p, schedule)
+        round_index = self._begin_round()
+        if self._pool is None or not self._pool_round(t, y, p, res,
+                                                      schedule):
+            self._ladder_round(t, y, p, res, schedule, round_index)
+
+    def evaluate_stages(
+        self, t: float, y: np.ndarray, p: np.ndarray, k: np.ndarray,
+        a_rows, c, h_dir: float, start: int, stop: int, res: np.ndarray,
+        schedule: Schedule | None = None,
+    ) -> None:
+        """On the pool, one round per stage: a round costs about what a
+        chunk's in-round barrier does, and the stage states stay the
+        serial solver's ``matmul``.  Otherwise the K-stage chunk of
+        :meth:`_PoolExecutor.evaluate_stages`."""
+        if self._pool is None:
+            super().evaluate_stages(t, y, p, k, a_rows, c, h_dir, start,
+                                    stop, res, schedule)
+            return
+        p, schedule = self._check_call(p, schedule)
+        _evaluate_stagewise(self, t, y, p, k, a_rows, c, h_dir, start, stop,
+                            res, schedule, accumulate=True)
+
+    def measure_dispatch_overhead(self, trials: int = 5) -> float:
+        """On the pool: seconds per empty pool round."""
+        samples = []
+        while self._pool is not None and len(samples) < max(1, trials):
+            t0 = time.perf_counter()
+            if not self._pool.empty_round():
+                self._retire_pool()
+                break
+            samples.append(time.perf_counter() - t0)
+        if self._pool is None:
+            return super().measure_dispatch_overhead(trials)
+        return float(np.median(samples))
+
+    def close(self) -> None:
+        """Join the pool's threads, then close the transport."""
+        pool, self._pool = getattr(self, "_pool", None), None
+        if pool is not None:
+            stuck = pool.close(self.join_timeout)
+            if stuck:
+                self.events.record("close_timeout", pool_threads=stuck,
+                                   timeout=self.join_timeout)
+        super().close()

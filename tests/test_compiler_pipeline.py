@@ -54,6 +54,7 @@ from repro.compiler import (
 import repro.compiler.cache as cache_module
 from repro.frontend import CompiledModel, compile_model, compile_source
 from repro.model import check_types
+from repro.runtime import RuntimeEvents
 
 #: tests here call intern_cache_clear()
 pytestmark = pytest.mark.usefixtures("intern_table_restored")
@@ -341,6 +342,38 @@ class TestArtifactCache:
         assert len(json.loads(artifact.read_text())["nodes"]) <= 1.2 * interned
         assert artifact.stat().st_size < 700_000
 
+    def test_eviction_bounds_aliases_orphaned_by_package_builds(
+        self, tmp_path, monkeypatch
+    ):
+        """Each stand-in package build writes one more alias for the same
+        text; the bounded store drops the oldest, never the live one."""
+        events = RuntimeEvents()
+        for build in range(5):
+            monkeypatch.setattr(cache_module, "package_digest",
+                                lambda build=build: f"build {build}")
+            cache = ArtifactCache(tmp_path, events=events)
+            assert cache.sources.max_entries == 256  # the native default
+            cache.sources.max_entries = 2
+            ctx = compile_context(source=_CLI_MODEL,
+                                  options=CompileOptions(cache=cache))
+            assert not ctx.source_hit
+            aliases = list((tmp_path / "sources").glob("*.json"))
+            assert len(aliases) == min(build + 1, 2)
+            assert cache.sources.path(ctx.source_key) in aliases
+        evicted = [e for e in events if e.kind == "cache_evicted"]
+        assert len(evicted) == 3
+        assert len(list(tmp_path.glob("*.json"))) == 1  # one artifact
+        assert _source_compile(tmp_path).source_hit
+
+    def test_alias_hits_refresh_their_age(self, tmp_path):
+        import os
+
+        cold = _source_compile(tmp_path)
+        alias = ArtifactCache(tmp_path).sources.path(cold.source_key)
+        os.utime(alias, (0, 0))
+        assert _source_compile(tmp_path).source_hit
+        assert alias.stat().st_mtime > 0
+
     def test_memory_only_cache(self):
         cache = ArtifactCache()
         opts = CompileOptions(cache=cache)
@@ -627,6 +660,38 @@ class TestSourceAlias:
         assert warm.cache_hit and not warm.source_hit
         assert warm.source_key != cold.source_key
         assert _source_compile(tmp_path).source_hit
+
+    def test_eviction_bounds_aliases_orphaned_by_package_builds(
+        self, tmp_path, monkeypatch
+    ):
+        """Each stand-in package build writes one more alias for the same
+        text; the bounded store drops the oldest, never the live one."""
+        events = RuntimeEvents()
+        for build in range(5):
+            monkeypatch.setattr(cache_module, "package_digest",
+                                lambda build=build: f"build {build}")
+            cache = ArtifactCache(tmp_path, events=events)
+            assert cache.sources.max_entries == 256  # the native default
+            cache.sources.max_entries = 2
+            ctx = compile_context(source=_CLI_MODEL,
+                                  options=CompileOptions(cache=cache))
+            assert not ctx.source_hit
+            aliases = list((tmp_path / "sources").glob("*.json"))
+            assert len(aliases) == min(build + 1, 2)
+            assert cache.sources.path(ctx.source_key) in aliases
+        evicted = [e for e in events if e.kind == "cache_evicted"]
+        assert len(evicted) == 3
+        assert len(list(tmp_path.glob("*.json"))) == 1  # one artifact
+        assert _source_compile(tmp_path).source_hit
+
+    def test_alias_hits_refresh_their_age(self, tmp_path):
+        import os
+
+        cold = _source_compile(tmp_path)
+        alias = ArtifactCache(tmp_path).sources.path(cold.source_key)
+        os.utime(alias, (0, 0))
+        assert _source_compile(tmp_path).source_hit
+        assert alias.stat().st_mtime > 0
 
     def test_memory_only_cache(self):
         cache = ArtifactCache()

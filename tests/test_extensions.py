@@ -284,6 +284,42 @@ class TestCli:
         payload = json.loads(out[out.index("{"):])
         assert payload["y"]["A.x"] == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--t-end", "0.5", "--json"],
+        ["graph"],
+        ["codegen", "-t", "c"],
+    ], ids=lambda c: c[0])
+    def test_repeat_run_with_cache_dir_parses_nothing(
+        self, model_file, tmp_path, capsys, monkeypatch, command
+    ):
+        import repro.language
+        from repro.cli import main
+
+        parses = []
+        load_model = repro.language.load_model
+        monkeypatch.setattr(repro.language, "load_model",
+                            lambda *a: parses.append(a) or load_model(*a))
+        argv = [command[0], model_file, *command[1:],
+                "--cache-dir", str(tmp_path / "cache")]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            outs.append(out[out.find("{"):] if "--json" in argv else out)
+        assert len(parses) == 1  # the second run hit the source alias
+        assert outs[0] == outs[1]
+
+    def test_analyze_with_cache_dir(self, model_file, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["analyze", model_file, "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0 and main(argv) == 0
+        first, second = capsys.readouterr().out.split("model cli_t")[1:]
+        # the timing line of the summary differs, nothing else
+        assert ([l for l in first.splitlines() if "ms" not in l]
+                == [l for l in second.splitlines() if "ms" not in l])
+        assert any(p.suffix == ".json" for p in (tmp_path / "c").iterdir())
+
     def test_missing_file_error(self, capsys):
         from repro.cli import main
 

@@ -6,8 +6,8 @@ example apps (serial and parallel modes, with the analytic Jacobian) and
 every native translation unit must now compile warning-free under
 ``cc -c -Wall -Werror``, and every native unit exports the ``run_tasks``
 batch entry the executors call; the ``_native.c`` glue that calls the
-units compiles warning-free too.  Skipped with a visible reason when the machine
-has no C compiler.
+units, thread pool included, compiles warning-free too.  Skipped with a
+visible reason when the machine has no C compiler.
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ def test_native_unit_without_tasks_compiles(tmp_path):
     reason="no Python development headers",
 )
 def test_native_glue_compiles(tmp_path):
-    """The hand-written glue that calls every unit builds warning-free."""
+    """The hand-written glue that calls every unit builds warning-free,
+    with the ``-pthread`` its thread pool is built with."""
     _compile_smoke(GLUE_SOURCE.read_text(), tmp_path, "glue",
-                   f"-I{sysconfig.get_paths()['include']}")
+                   f"-I{sysconfig.get_paths()['include']}", "-pthread")
 
 
 @needs_cc

@@ -10,6 +10,10 @@ bit-identical solves across executor × fusion × K, the per-task times the
 semi-dynamic scheduler feeds on (assigned in plain rounds, accumulated in
 K-stage chunks), the in-chunk barrier a worker with an empty level must
 still reach, a reloaded unit, and the fault ladder under K-stage chunks.
+The last section holds the glue's thread pool, which runs a native
+``ThreadedExecutor``'s rounds, to the same standard: bit-identical
+rounds and solves, schedules, task times, its threads' lifetime and idle
+CPU, and the ladder it falls back to.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -31,12 +36,14 @@ from repro.runtime import (
     FaultSpec,
     ParallelRHS,
     ProcessExecutor,
+    RetryPolicy,
     RuntimeEvents,
     SerialExecutor,
+    TaskFailure,
     ThreadedExecutor,
 )
 from repro.runtime.supervisor import _Buffers, _Job, dependency_levels, serve
-from repro.schedule import lpt_schedule
+from repro.schedule import SemiDynamicScheduler, lpt_schedule
 from repro.schedule.lpt import Schedule
 from repro.solver import solve_ivp
 from repro.solver.rk import DOPRI_A, DOPRI_C
@@ -382,3 +389,271 @@ def test_chunk_fault_takes_the_per_task_runner_and_recovers(
     assert events.count("fault_injected") == fired
     if mode == "kill":
         assert events.count("worker_dead") == 1
+
+
+# -- the glue's thread pool --------------------------------------------------------
+#
+# A native program run by a ThreadedExecutor without an injector takes the
+# glue's pthread pool: one C call per round, the caller as worker 0, a
+# barrier after each level.
+
+POOL_SPANS = {"bearing3d-8": 0.004, "bearing2d-10": 0.01}
+
+
+def _pool_threads() -> dict[int, str]:
+    """tid -> name of this process's pool threads."""
+    threads = {}
+    for task in os.scandir("/proc/self/task"):
+        try:
+            with open(f"{task.path}/comm") as f:
+                name = f.read().strip()
+        except OSError:  # the thread exited meanwhile
+            continue
+        if name.startswith("repro-pool-"):
+            threads[int(task.name)] = name
+    return threads
+
+
+def _cpu_ticks(tid: int) -> int:
+    """utime + stime of one thread of this process, in clock ticks."""
+    with open(f"/proc/self/task/{tid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])
+
+
+class _Recording:
+    """A pool whose ``assign`` calls are noted."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.assigned: list[tuple] = []
+
+    def assign(self, assignment):
+        self.assigned.append(tuple(assignment))
+        self.pool.assign(assignment)
+
+    def __getattr__(self, name):
+        return getattr(self.pool, name)
+
+
+@needs_cc
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("model", list(POOL_SPANS))
+def test_pool_rounds_and_solves_bit_identical(programs, model, fuse,
+                                              workers):
+    program = programs(model, fuse)
+    levels = dependency_levels(program.task_graph)
+    if model == "bearing2d-10":
+        assert len(levels) == 2 and program.num_partials > 0
+        if fuse and workers == 2:  # one worker has nothing in level 2
+            owner = lpt_schedule(program.task_graph, 2).assignment
+            assert {owner[tid] for tid in levels[1]} != {0, 1}
+    y = program.start_vector() + 1e-3
+    p = program.param_vector()
+    expected = program.results_buffer()
+    SerialExecutor(program).evaluate(0.1, y, p, expected)
+    want = _solve(program, SerialExecutor(program), 1, POOL_SPANS[model])
+    events = RuntimeEvents()
+    with ThreadedExecutor(program, workers, events=events) as executor:
+        assert executor._pool is not None
+        res = program.results_buffer()
+        executor.evaluate(0.1, y, p, res)
+        assert np.array_equal(res, expected)
+        for stage_chunk in (1, 6):
+            sol = _solve(program, executor, stage_chunk, POOL_SPANS[model])
+            assert np.array_equal(sol.ts, want.ts)
+            assert np.array_equal(sol.ys, want.ys)
+            assert sol.stats == want.stats
+        assert executor._pool is not None
+    assert events.total_recorded == 0
+
+
+class _Alternating(SemiDynamicScheduler):
+    """Swaps between the LPT schedule and its mirror image every few
+    observations, so the assignment really changes mid-solve."""
+
+    def observe(self, measured):
+        super().observe(measured)
+        if self.steps_since_reschedule == 0:
+            lpt = lpt_schedule(self.graph, self.num_workers)
+            if self.num_reschedules % 2:
+                last = self.num_workers - 1
+                lpt = Schedule(self.num_workers,
+                               tuple(last - w for w in lpt.assignment),
+                               lpt.loads[::-1])
+            self._schedule = lpt
+        return self._schedule
+
+
+@needs_cc
+def test_pool_honours_a_schedule_that_changes_mid_solve(programs):
+    program = programs("bearing2d-10", False)
+    want = _solve(program, SerialExecutor(program), 1, 0.01)
+    with ThreadedExecutor(program, 2) as executor:
+        executor._pool = recording = _Recording(executor._pool)
+        scheduler = _Alternating(program.task_graph, 2, reschedule_every=5)
+        rhs = ParallelRHS(program, executor, scheduler=scheduler,
+                          feed_measurements=True)
+        sol = solve_ivp(rhs, (0.0, 0.01), program.start_vector(),
+                        method="rk45", rtol=1e-6, atol=1e-9)
+    assert np.array_equal(sol.ys, want.ys)
+    # every new schedule reached the pool's tables before its next round
+    # (the last one may have come after the last round)
+    assert scheduler.num_reschedules >= 4
+    assert (scheduler.num_reschedules <= len(recording.assigned)
+            <= scheduler.num_reschedules + 1)
+    assert len(set(recording.assigned)) == 2
+
+
+@needs_cc
+def test_pool_fills_last_task_times(programs):
+    program = programs("bearing3d-8")
+    y, p = program.start_vector(), program.param_vector()
+    with ThreadedExecutor(program, 2) as executor:
+        assert executor._pool is not None
+        executor.last_task_times[:] = -1.0
+        executor.evaluate(0.0, y, p, program.results_buffer())
+        assert executor.last_times_rounds == 1
+        assert np.all(executor.last_task_times > 0)
+        once = executor.last_task_times.copy()
+        _stages(program, executor)
+        assert executor.last_times_rounds == 6  # one round per stage
+        assert executor.last_task_times.sum() > once.sum()
+
+
+@needs_cc
+def test_close_joins_the_pool_threads_and_is_idempotent(programs):
+    program = programs("bearing3d-8")
+    before = _pool_threads()
+    executor = ThreadedExecutor(program, 3)
+    started = set(_pool_threads()) - set(before)
+    assert len(started) == 2  # the caller is worker 0
+    executor.evaluate(0.0, program.start_vector(), program.param_vector(),
+                      program.results_buffer())
+    executor.close()
+    assert not started & set(_pool_threads())
+    executor.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        executor.evaluate(0.0, program.start_vector(),
+                          program.param_vector(), program.results_buffer())
+
+
+@needs_cc
+def test_an_idle_pool_uses_no_cpu(programs):
+    program = programs("bearing3d-8")
+    before = set(_pool_threads())
+    with ThreadedExecutor(program, 2) as executor:
+        executor.evaluate(0.0, program.start_vector(),
+                          program.param_vector(), program.results_buffer())
+        (tid,) = set(_pool_threads()) - before
+        time.sleep(0.05)  # past the barrier's spin budget
+        idle = _cpu_ticks(tid)
+        time.sleep(0.2)
+        assert _cpu_ticks(tid) == idle
+
+
+@needs_cc
+def test_an_armed_injector_selects_the_python_transport(programs):
+    program, calls = _counting(programs("bearing3d-8"))
+    y, p = program.start_vector(), program.param_vector()
+    with ThreadedExecutor(program, 2) as executor:
+        assert executor._pool is not None
+        executor.evaluate(0.0, y, p, program.results_buffer())
+    assert calls == []  # the pool calls the unit's C code directly
+    with ThreadedExecutor(program, 2, injector=FaultInjector()) as executor:
+        assert executor._pool is None
+        executor.evaluate(0.0, y, p, program.results_buffer())
+    assert sorted(tid for ids in calls for tid in ids) == list(
+        range(program.num_tasks)
+    )
+
+
+def _one_bad_task(program):
+    """(state index, task) such that a NaN in that state makes exactly
+    that task's output non-finite."""
+    p = program.param_vector()
+    slots = [program.task_output_slots(tid)
+             for tid in range(program.num_tasks)]
+    for i in range(program.num_states):
+        y = program.start_vector()
+        y[i] = np.nan
+        res = program.results_buffer()
+        SerialExecutor(program).evaluate(0.0, y, p, res)
+        bad = [tid for tid, s in enumerate(slots)
+               if not np.all(np.isfinite(res[list(s)]))]
+        if len(bad) == 1:
+            return i, bad[0]
+    raise AssertionError("no state feeds a single task")
+
+
+@needs_cc
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_output_walks_the_ladder(programs, workers):
+    """The pool's round is re-run on the thread transport, whose ladder
+    records what it records for any other executor's round."""
+    program = programs("bearing3d-8")
+    i, tid = _one_bad_task(program)
+    y = program.start_vector()
+    y[i] = np.nan
+    logs = []
+    for injector in (None, FaultInjector()):
+        events = RuntimeEvents()
+        with ThreadedExecutor(program, workers, injector=injector,
+                              events=events,
+                              retry_policy=RetryPolicy(backoff=0.0)
+                              ) as executor:
+            assert (executor._pool is None) == (injector is not None)
+            with pytest.raises(TaskFailure) as failure:
+                executor.evaluate(0.0, y, program.param_vector(),
+                                  program.results_buffer())
+            assert failure.value.task_id == tid
+            assert (executor._pool is None) == (injector is not None)
+        logs.append([(e.kind, e.data) for e in events])
+    pool_log, transport_log = logs
+    assert pool_log[0] == ("task_nonfinite", pool_log[0][1])
+    assert pool_log[0][1]["task"] == tid
+    if workers == 1:  # nowhere to reassign to: the order is fixed
+        assert pool_log == transport_log
+        assert [kind for kind, _ in pool_log] == [
+            "task_nonfinite", "task_retry", "task_nonfinite", "task_retry",
+            "task_nonfinite", "task_inline",
+        ]
+
+
+class _TimingOut:
+    """A pool whose every round misses its deadline."""
+
+    def __init__(self):
+        self.closed = False
+
+    def assign(self, assignment):
+        pass
+
+    def round(self, t, y, p, out, times):
+        return False
+
+    def close(self, join_timeout):
+        self.closed = True
+        return 0
+
+
+@needs_cc
+def test_a_missed_deadline_retires_the_pool(programs):
+    program = programs("bearing2d-10")
+    y, p = program.start_vector() + 1e-3, program.param_vector()
+    expected = program.results_buffer()
+    SerialExecutor(program).evaluate(0.1, y, p, expected)
+    events = RuntimeEvents()
+    with ThreadedExecutor(program, 2, events=events) as executor:
+        real = executor._pool
+        executor._pool = stub = _TimingOut()
+        res = program.results_buffer()
+        executor.evaluate(0.1, y, p, res)  # re-run on the thread transport
+        assert np.array_equal(res, expected)
+        assert stub.closed and executor._pool is None
+        executor.evaluate(0.1, y, p, res)
+        assert np.array_equal(res, expected)
+        assert executor.measure_dispatch_overhead(3) > 0  # the transport's
+        real.close(1.0)
+    assert [e.kind for e in events] == ["pool_retired"]
