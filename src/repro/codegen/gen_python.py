@@ -127,6 +127,18 @@ def _sign(value: float) -> float:
     return 0.0
 
 
+def _rpow(base: float, exponent: float) -> float:
+    """``base ** exponent`` for an exponent that is not an integral
+    constant, raising where Python's power of a negative float is a
+    ``complex``: NumPy's scalar power gives ``nan`` there, and the raise
+    sends a call on Python floats back to its ndarray arguments
+    (:func:`repro.codegen.program.call_on_floats`)."""
+    value = base**exponent
+    if value.__class__ is complex:
+        raise ValueError(f"complex power {base!r} ** {exponent!r}")
+    return value
+
+
 def _base_namespace() -> dict:
     ns = {name: getattr(math, name) for name in (
         "sin", "cos", "tan", "asin", "acos", "atan", "atan2",
@@ -136,6 +148,7 @@ def _base_namespace() -> dict:
     ns["min"] = min
     ns["max"] = max
     ns["sign"] = _sign
+    ns["_rpow"] = _rpow
     return ns
 
 
@@ -659,6 +672,7 @@ PYTHON = Dialect(
     batched=False,
     family=_loop_family,
     reduce=_loop_reduce,
+    reserved=("_rpow",),
 )
 
 

@@ -49,6 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GeneratedProgram",
     "ProgramSpec",
+    "as_floats",
+    "call_on_floats",
     "generate_program",
     "run_each",
     "scalarize_reason",
@@ -61,20 +63,64 @@ __all__ = [
 TaskRunner = Callable[..., None]
 
 
+_F64 = np.dtype(float)
+
+#: the types of ``t`` whose arithmetic with a Python float rounds as it
+#: does with a NumPy float64 (a float32 ``t`` times a Python float is a
+#: float32, times a float64 it is a float64)
+_EXACT_T = frozenset((float, int, np.float64))
+
+
+def as_floats(v):
+    """``v.tolist()`` — a list of Python floats — when ``v`` is a 1-D
+    float64 ndarray, else ``v`` itself: the ``y`` or ``p`` argument of
+    :func:`call_on_floats`, converted once per call or per closure."""
+    if v.__class__ is np.ndarray and v.dtype == _F64 and v.ndim == 1:
+        return v.tolist()
+    return v
+
+
+def call_on_floats(fn: Callable, t, y, p, out, fy, fp) -> None:
+    """Run a generated Python body ``fn(t, y, p, out)`` on Python floats.
+
+    ``fy`` and ``fp`` are :func:`as_floats` of ``y`` and ``p``.  Indexing a
+    list yields Python floats, whose arithmetic is the same IEEE double
+    arithmetic as NumPy's scalar math at half the cost, so ``out`` gets
+    the same bits.  Where NumPy returns ``inf`` or ``nan`` from ``x**-1``
+    at 0, an overflowing power or a fractional power of a negative base,
+    Python raises (the last through the namespace's ``_rpow``), and the
+    same call runs again on ``y`` and ``p``: its values, warnings and
+    exception are then those of the ndarray call.  A call whose arguments
+    did not convert, or whose ``t`` would round differently against a
+    Python float, runs on ``y`` and ``p`` directly.
+    """
+    if fy is y or fp is p or t.__class__ not in _EXACT_T:
+        fn(t, y, p, out)
+        return
+    try:
+        fn(t, fy, fp, out)
+    except Exception:
+        fn(t, y, p, out)
+
+
 def run_each(tasks: Sequence[Callable]) -> TaskRunner:
     """The task runner over per-task callables: one Python call per task.
 
-    Serves the Python backend.  A task's exception propagates unchanged,
-    tagged with that task's id as ``failed_task``, so the pool's worker
-    side can tell which of ``ids`` completed before it.
+    Serves the Python backend: ``y`` and ``p`` convert to Python floats
+    once per call, and each task runs through :func:`call_on_floats`.  A
+    task's exception (the one its re-run on the ndarrays raises)
+    propagates unchanged, tagged with that task's id as ``failed_task``,
+    so the pool's worker side can tell which of ``ids`` completed before
+    it.
     """
 
     def run(ids, t, y, p, res, times) -> None:
+        fy, fp = as_floats(y), as_floats(p)
         tid = None
         try:
             for tid in ids:
                 started = perf_counter()
-                tasks[tid](t, y, p, res)
+                call_on_floats(tasks[tid], t, y, p, res, fy, fp)
                 times[tid] = perf_counter() - started
         except BaseException as exc:
             exc.failed_task = tid
@@ -256,7 +302,9 @@ class GeneratedProgram:
                 raise ValueError(
                     f"{name} has shape {np.shape(v)}, expected ({n},)"
                 )
-        self.module.rhs(t, y, p, out)
+        call_on_floats(
+            self.module.rhs, t, y, p, out, as_floats(y), as_floats(p)
+        )
         return out
 
     def make_rhs(self, p: np.ndarray | None = None) -> Callable:
@@ -264,7 +312,10 @@ class GeneratedProgram:
 
         Uses the native RHS when this program was compiled with
         ``backend="c"`` (same numbers to the last bit modulo libm; the
-        native build forbids FP contraction).
+        native build forbids FP contraction).  The Python RHS runs on
+        Python floats (:func:`call_on_floats`): ``p`` converts once here,
+        ``y`` once per call, and the result is bit-identical to the call
+        on the ndarrays at about half its cost.
         """
         params = self._default_params() if p is None else np.asarray(p, float)
         if self.native_module is not None:
@@ -281,10 +332,11 @@ class GeneratedProgram:
             return f
         rhs = self.module.rhs
         n = self.num_states
+        fp = as_floats(params)
 
         def f(t: float, y: np.ndarray) -> np.ndarray:
             out = np.empty(n, dtype=float)
-            rhs(t, y, params, out)
+            call_on_floats(rhs, t, y, params, out, as_floats(y), fp)
             return out
 
         return f
@@ -302,7 +354,8 @@ class GeneratedProgram:
         With a native module the sparse ``JAC`` evaluates only the
         structurally nonzero entries (per SCC block) and scatters them
         through a precomputed flat index — the dense workspace interface
-        the solvers consume is unchanged.
+        the solvers consume is unchanged.  The Python ``JAC`` runs on
+        Python floats, as :meth:`make_rhs`'s RHS does.
         """
         params = self._default_params() if p is None else np.asarray(p, float)
         n = self.num_states
@@ -329,9 +382,10 @@ class GeneratedProgram:
             return None
         jac_fn = self.module.jac
         workspace = np.zeros((n, n), dtype=float)
+        fp = as_floats(params)
 
         def jac(t: float, y: np.ndarray) -> np.ndarray:
-            jac_fn(t, y, params, workspace)
+            call_on_floats(jac_fn, t, y, params, workspace, as_floats(y), fp)
             return workspace
 
         return jac

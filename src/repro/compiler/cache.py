@@ -95,8 +95,9 @@ __all__ = [
 #: (2: native C translation unit added for backend="c"; 3: expressions
 #: stored as one node table per artifact instead of nested trees; 4: the
 #: native unit exports the run_tasks batch entry the loader binds; 5: the
-#: native unit carries no cffi ``cdef`` block)
-ARTIFACT_FORMAT = 5
+#: native unit carries no cffi ``cdef`` block; 6: the Python text prints a
+#: fractional power as ``_rpow(b, e)``, so it may run on Python floats)
+ARTIFACT_FORMAT = 6
 
 
 # ---------------------------------------------------------------------------

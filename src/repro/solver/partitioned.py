@@ -34,7 +34,7 @@ import numpy as np
 
 from ..analysis.depgraph import DiGraph
 from ..analysis.scc import condensation, strongly_connected_components
-from ..codegen.program import generate_program
+from ..codegen.program import as_floats, call_on_floats, generate_program
 from ..codegen.transform import OdeSystem
 from ..symbolic.expr import free_symbols
 from .common import SolverResult, hermite
@@ -218,7 +218,7 @@ def solve_partitioned(
             for k, sig in enumerate(_signals):
                 p[_n_fixed + k] = sig(t)
             out = np.empty(_n)
-            _rhs(t, y, p, out)
+            call_on_floats(_rhs, t, y, p, out, as_floats(y), as_floats(p))
             return out
 
         result = solve_ivp(

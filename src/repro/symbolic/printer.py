@@ -257,6 +257,11 @@ def srepr(expr: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _integral(exponent: Expr) -> bool:
+    """A constant integral exponent: ``b**e`` is real for every real ``b``."""
+    return isinstance(exponent, Const) and float(exponent.value).is_integer()
+
+
 def code(
     expr: Expr,
     dialect: str = "python",
@@ -271,11 +276,15 @@ def code(
     The ``fortran`` dialect emits ``**`` powers and merges conditionals with
     ``merge(then, else, cond)`` (F90's elemental conditional).  The ``c``
     dialect emits ``pow`` and ternaries.  ``python`` output is directly
-    ``eval``-able given a suitable namespace.  The ``numpy`` dialect is the
-    elementwise/batched variant of ``python``: elementary functions use
-    their ufunc names (``arcsin``, ``minimum``, …), conditionals lower to
-    ``where(cond, then, else)``, and boolean operators lower to the
-    bitwise ``&``/``|``/``~`` that NumPy overloads for boolean arrays.
+    ``eval``-able given a suitable namespace; it prints a power whose
+    exponent is not an integral constant as ``_rpow(base, exponent)``,
+    the namespace's guard against a complex result (``(-1.0)**0.5`` is a
+    ``complex`` in Python where NumPy gives ``nan``).  The ``numpy``
+    dialect is the elementwise/batched variant of ``python``: elementary
+    functions use their ufunc names (``arcsin``, ``minimum``, …),
+    conditionals lower to ``where(cond, then, else)``, and boolean
+    operators lower to the bitwise ``&``/``|``/``~`` that NumPy overloads
+    for boolean arrays.
     """
     if dialect not in ("python", "numpy", "fortran", "c"):
         raise ValueError(f"unknown dialect {dialect!r}")
@@ -322,6 +331,8 @@ def code(
         if isinstance(node, Pow):
             if dialect == "c":
                 return f"pow({walk(node.base, 0)}, {walk(node.exponent, 0)})"
+            if dialect == "python" and not _integral(node.exponent):
+                return f"_rpow({walk(node.base, 0)}, {walk(node.exponent, 0)})"
             base = walk(node.base, _PREC_POW + 1)
             exponent = walk(node.exponent, _PREC_POW)
             text = f"{base}**{exponent}"

@@ -59,13 +59,13 @@ DIGESTS = {
     ("servo", "scalar", False): ("b3468b049866448a", "38a8d6755c4498c7"),
     ("servo", "scalar", True): ("e8a96f4b52aecf2e", "33220af27cf5b32d"),
     ("powerplant", "scalar", False): ("e6540f799c702182", "47048e29f2332937"),
-    ("powerplant", "scalar", True): ("9954be20860cef9d", "082ec4662fe41733"),
+    ("powerplant", "scalar", True): ("cc43557692e1e1cf", "082ec4662fe41733"),
     ("bearing2d.om", "scalar", False): ("e19bfea6090dac2d", "2a5bb959adf7c2ba"),
-    ("bearing2d.om", "scalar", True): ("5ab009b8ac36b4a0", "9bd46b55833c825d"),
+    ("bearing2d.om", "scalar", True): ("1181fedae0b20330", "9bd46b55833c825d"),
     ("bearing3d-8", "scalar", False): ("57e7bcbb49c0811a", "981b19afd9463e4c"),
-    ("bearing3d-8", "scalar", True): ("207d943d74192528", "defcf919ecce1d76"),
+    ("bearing3d-8", "scalar", True): ("fe553bab0cc744ae", "defcf919ecce1d76"),
     ("bearing2d-32", "scalar", False): ("e0fd428e3f6ce0cd", "98e60f99fe892498"),
-    ("bearing2d-32", "scalar", True): ("8d5eb60fa0e1a6b3", "17462ad54cb2aa0d"),
+    ("bearing2d-32", "scalar", True): ("2dc969e3609428ee", "17462ad54cb2aa0d"),
     ("bearing3d-8", "array", False): ("e0ae3b6332f61e5b", "32d45168e6aee7fe"),
     ("bearing2d-32", "array", False): ("8ff7d5b1bc2bce9a", "55e1d52efffe53a6"),
 }
@@ -188,7 +188,7 @@ PROGRAM_DIGESTS = {
         "c6c5375173155ce7", None, "e15aba387e55b7ef",
     ),
     ("bearing2d-4", "c", True): (
-        "a92d2dd97d9b7583", None, "206efb05b6983074",
+        "ea755099379caa59", None, "206efb05b6983074",
     ),
     ("bearing3d-8", "python", False): ("57e7bcbb49c0811a", None, None),
     ("bearing3d-8", "numpy", False): (
@@ -198,7 +198,7 @@ PROGRAM_DIGESTS = {
         "57e7bcbb49c0811a", None, "fe46b461e451fdb5",
     ),
     ("bearing3d-8", "c", True): (
-        "207d943d74192528", None, "7b065057c611d45c",
+        "fe553bab0cc744ae", None, "7b065057c611d45c",
     ),
     ("powerplant", "python", False): ("e6540f799c702182", None, None),
     ("powerplant", "numpy", False): (
@@ -208,7 +208,7 @@ PROGRAM_DIGESTS = {
         "e6540f799c702182", None, "ae643fb55780ce3b",
     ),
     ("powerplant", "c", True): (
-        "9954be20860cef9d", None, "be9dd648f70475ba",
+        "cc43557692e1e1cf", None, "be9dd648f70475ba",
     ),
     ("servo", "python", False): ("b3468b049866448a", None, None),
     ("servo", "numpy", False): (
