@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..schedule.lpt import Schedule
+from ..symbolic.builders import FUNCTIONS
 from ..symbolic.cse import cse, cse_grouped
 from ..symbolic.expr import Expr, free_symbols
 from ..symbolic.printer import code as expr_code
@@ -53,6 +54,24 @@ _SIGN_HELPER = (
     "static inline double sign(double v) "
     "{ return v > 0 ? 1.0 : (v < 0 ? -1.0 : 0.0); }"
 )
+
+
+#: what no model name may become: a function a body may call, or a C
+#: keyword (the unit would not compile, and the program fall back)
+_RESERVED = ("pow", "sign") + tuple(
+    spec.c_name or spec.name for spec in FUNCTIONS.values()
+) + (
+    "auto", "break", "case", "char", "const", "continue", "default", "do",
+    "double", "else", "enum", "extern", "float", "for", "goto", "if",
+    "inline", "int", "long", "register", "restrict", "return", "short",
+    "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
+    "unsigned", "void", "volatile", "while",
+)
+
+
+def _names(*args: str) -> NameTable:
+    """A name table for one C function with parameters ``args``."""
+    return NameTable(reserved=args + _RESERVED)
 
 
 @dataclass(frozen=True)
@@ -202,7 +221,7 @@ def generate_c(
     num_cse = 0
 
     if mode == "serial":
-        names = NameTable(reserved=["t", "yin", "p", "yout"])
+        names = _names("t", "yin", "p", "yout")
         result = cse(list(system.rhs), symbol_prefix="cse", min_ops=cse_min_ops)
         num_cse = result.num_extracted
         lines.append(
@@ -241,7 +260,7 @@ def generate_c(
             lines.append(f"  case {case_no}: {{")
             # Block-scoped names: fresh table per case keeps C legal; the
             # emitted set deduplicates loads shared by the case's tasks.
-            names = NameTable(reserved=["t", "yin", "p", "yout", "workerid"])
+            names = _names("t", "yin", "p", "yout", "workerid")
             emitted: set[str] = set()
             for tid in task_ids:
                 body = plan.bodies[tid]
@@ -262,7 +281,7 @@ def generate_c(
         lines.append("}")
 
     if jacobian:
-        names = NameTable(reserved=["t", "yin", "p", "dfdy", "n"])
+        names = _names("t", "yin", "p", "dfdy", "n")
         entries = _jac_entries(system)
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="jcse",
@@ -418,7 +437,7 @@ def generate_c_tasks(
     num_cse = 0
 
     # -- serial RHS (global CSE over the full system) ----------------------
-    names = NameTable(reserved=["t", "yin", "p", "yout"])
+    names = _names("t", "yin", "p", "yout")
     result = cse(list(system.rhs), symbol_prefix="cse", min_ops=cse_min_ops)
     num_cse += result.num_extracted
     lines.append(f"void RHS({_ARGS})")
@@ -443,7 +462,7 @@ def generate_c_tasks(
         lines.append(f"/* {body.name} */")
         lines.append(f"void {fn}({_ARGS})")
         lines.append("{")
-        names = NameTable(reserved=["t", "yin", "p", "yout"])
+        names = _names("t", "yin", "p", "yout")
         targets = [
             (a.target, e) for a, e in zip(body.assignments, result.exprs)
         ]
@@ -472,7 +491,7 @@ def generate_c_tasks(
         jac_rows = tuple(i for i, _, _ in entries)
         jac_cols = tuple(j for _, j, _ in entries)
         nnz = len(entries)
-        names = NameTable(reserved=["t", "yin", "p", "vals"])
+        names = _names("t", "yin", "p", "vals")
         jac_cse = cse(
             [e for _, _, e in entries], symbol_prefix="jcse",
             min_ops=cse_min_ops,

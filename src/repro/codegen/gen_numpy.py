@@ -217,9 +217,7 @@ NUMPY = Dialect(
     batched=True,
     family=_slice_family,
     reduce=_sum_reduce,
-    reserved=("Y", "np", "where", "errstate", "_col") + tuple(
-        spec.numpy_name or spec.name for spec in FUNCTIONS.values()
-    ),
+    reserved=("Y", "np", "_col") + tuple(_ufunc_names()),
     # lifts a per-trajectory vector (``t`` of shape ``(batch,)``) to a
     # trailing length-1 axis so it broadcasts against member-axis slices
     # of shape ``(batch, count)``; scalars pass through

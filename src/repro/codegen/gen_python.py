@@ -672,7 +672,7 @@ PYTHON = Dialect(
     batched=False,
     family=_loop_family,
     reduce=_loop_reduce,
-    reserved=("_rpow",),
+    reserved=tuple(_base_namespace()),
 )
 
 

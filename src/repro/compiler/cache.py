@@ -96,8 +96,9 @@ __all__ = [
 #: stored as one node table per artifact instead of nested trees; 4: the
 #: native unit exports the run_tasks batch entry the loader binds; 5: the
 #: native unit carries no cffi ``cdef`` block; 6: the Python text prints a
-#: fractional power as ``_rpow(b, e)``, so it may run on Python floats)
-ARTIFACT_FORMAT = 6
+#: fractional power as ``_rpow(b, e)``, so it may run on Python floats;
+#: 7: no model name shadows a function the generated text calls)
+ARTIFACT_FORMAT = 7
 
 
 # ---------------------------------------------------------------------------

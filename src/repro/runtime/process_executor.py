@@ -47,13 +47,15 @@ buffer of a later round.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import threading
 import time
-from multiprocessing import connection, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -78,6 +80,12 @@ _TICK_STRIDE = 1 << 20
 
 #: how long the supervisor waits for every worker's first heartbeat
 _STARTUP_TIMEOUT = 30.0
+
+#: how long a stage-barrier wait spins on ``os.sched_yield()`` before it
+#: naps: one stage's imbalance between workers (tens of µs on
+#: bearing3d-8) fits many times over.  ``time.sleep(0)`` is no yield on
+#: Linux: the 50 µs timer slack turns every call into a ≈ 55 µs nap.
+_YIELD_SPIN_S = 0.002
 
 
 class _SharedBlocks:
@@ -147,12 +155,13 @@ class _ShmBarrier:
     over shared memory.
 
     After each dependency level the worker bumps its own (single writer)
-    ``prog`` slot and spin-waits until every participant has reached the
-    same tick.  Ticks are namespaced by epoch so a straggler from an
-    abandoned round can neither satisfy nor break a later round's
-    barrier.  Aborting publishes the epoch in the shared flag — epoch-
-    valued for the same reason — so the whole pool bails out in one
-    phase.
+    ``prog`` slot and waits until every participant has reached the same
+    tick: spinning on ``sched_yield`` for :data:`_YIELD_SPIN_S`, then
+    napping 100 µs a check.  Ticks are namespaced by epoch so a
+    straggler from an abandoned round can neither satisfy nor break a
+    later round's barrier.  Aborting publishes the epoch in the shared
+    flag — epoch-valued for the same reason — so the whole pool bails
+    out in one phase.
     """
 
     def __init__(self, blocks: _SharedBlocks, worker_id: int,
@@ -168,18 +177,22 @@ class _ShmBarrier:
         self.tick += 1
         tick = self.tick
         prog[self.worker_id] = tick
-        deadline = time.monotonic() + timeout
-        spins = 0
+        now = time.monotonic()
+        deadline = now + timeout
+        spin_until = now + _YIELD_SPIN_S
         while True:
             if ctl[0] == epoch:
                 raise threading.BrokenBarrierError
             if all(prog[w] >= tick for w in self.participants):
                 return
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 self.abort()
                 raise threading.BrokenBarrierError
-            spins += 1
-            time.sleep(0 if spins < 200 else 0.0001)
+            if now < spin_until:
+                os.sched_yield()
+            else:
+                time.sleep(0.0001)
 
     def abort(self) -> None:
         self.ctl[0] = self.epoch
@@ -313,6 +326,16 @@ class _ProcessTransport:
             raise
         #: (heartbeat value, monotonic time it last advanced) per worker
         self._hb_seen = [(0, time.monotonic())] * num_workers
+        #: every live worker's pipe, registered once: a worker leaves it
+        #: when it is killed or its pipe reports EOF, so a hung-up pipe
+        #: cannot make every later poll return at once
+        self._poll = select.poll()
+        self._worker_of: dict[int, int] = {}
+        for w, conn in enumerate(self._conns):
+            self._poll.register(conn.fileno(), select.POLLIN)
+            self._worker_of[conn.fileno()] = w
+        #: replies read from workers nobody was waiting on, oldest first
+        self._held: list[list] = [[] for _ in range(num_workers)]
 
     def await_startup(self) -> list[tuple[int, str]]:
         """Block until every worker's heartbeat has started (module
@@ -374,17 +397,36 @@ class _ProcessTransport:
         except (BrokenPipeError, OSError):
             return False
 
+    def _read(self, worker_id: int) -> _Reply | None:
+        """One reply off ``worker_id``'s pipe; ``None`` (and the pipe
+        leaves the poll set) at end of stream."""
+        conn = self._conns[worker_id]
+        try:
+            return _Reply._make(conn.recv())
+        except (EOFError, OSError):
+            self._unregister(worker_id)
+            return None
+
+    def _unregister(self, worker_id: int) -> None:
+        fd = self._conns[worker_id].fileno()
+        if self._worker_of.pop(fd, None) is not None:
+            self._poll.unregister(fd)
+
     def replies(self, workers, timeout: float):
-        by_conn = {id(self._conns[w]): w for w in workers}
-        arrived = []
-        for conn in connection.wait(
-            [self._conns[w] for w in workers], timeout=timeout
-        ):
-            try:
-                arrived.append((by_conn[id(conn)], _Reply._make(conn.recv())))
-            except (EOFError, OSError):
-                arrived.append((by_conn[id(conn)], None))
-        return arrived
+        """One reply from each worker in ``workers`` that has one, in the
+        order of ``workers``.  A reply from a worker not asked about is
+        read and held for the next call that asks."""
+        held = self._held
+        waiting = [w for w in workers if not held[w]]
+        ready = ()
+        if waiting:
+            wait = 0 if len(waiting) < len(workers) else timeout
+            ready = self._poll.poll(max(0, math.ceil(wait * 1e3)))
+        for fd, _ in ready:
+            w = self._worker_of.get(fd)
+            if w is not None:
+                held[w].append(self._read(w))
+        return [(w, held[w].pop(0)) for w in workers if held[w]]
 
     # -- liveness -----------------------------------------------------------------
 
@@ -404,6 +446,8 @@ class _ProcessTransport:
                 else "process exited")
 
     def kill(self, worker_id: int) -> None:
+        self._unregister(worker_id)
+        self._held[worker_id].clear()
         if self.procs[worker_id].is_alive():
             self.procs[worker_id].kill()
 

@@ -102,6 +102,9 @@ class TaskFailure(RuntimeError):
 class _NonFiniteOutput(RuntimeError):
     """Internal marker: a task completed but produced NaN/Inf outputs."""
 
+    def __init__(self, task_id: int) -> None:
+        super().__init__(f"task {task_id} produced non-finite output")
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -463,6 +466,10 @@ class _PoolExecutor:
             np.asarray(program.task_output_slots(tid), dtype=int)
             for tid in range(program.num_tasks)
         ]
+        #: (level, worker) -> (task ids, their result slots): what a clean
+        #: reply claims, checked in one ``isfinite``; built per schedule
+        self._reply_slots: dict[tuple[int, int], tuple] = {}
+        self._reply_slots_schedule: Schedule | None = None
         self._closing = False
         self._epoch = 0  # bumped per dispatch; stale replies dropped
         self._round = -1
@@ -531,12 +538,9 @@ class _PoolExecutor:
 
     # -- inline execution ---------------------------------------------------------
 
-    def _validate_task_outputs(self, tid: int, res: np.ndarray) -> None:
+    def _task_nonfinite(self, tid: int, res: np.ndarray) -> bool:
         slots = self._slots[tid]
-        if slots.size and not np.all(np.isfinite(res[slots])):
-            raise _NonFiniteOutput(
-                f"task {tid} produced non-finite output"
-            )
+        return bool(slots.size) and not np.isfinite(res[slots]).all()
 
     def _run_inline(self, tid: int, t: float, bufs: _Buffers,
                     cause: BaseException | None = None) -> None:
@@ -547,23 +551,45 @@ class _PoolExecutor:
         try:
             self._run((tid,), t, bufs.y, bufs.p, bufs.res,
                       self._transport.times)
-            if self.validate_outputs:
-                self._validate_task_outputs(tid, bufs.res)
+            if self.validate_outputs and self._task_nonfinite(tid, bufs.res):
+                raise _NonFiniteOutput(tid)
         except _NonFiniteOutput as exc:
             raise TaskFailure(tid, cause or exc, "non-finite output") from exc
         except Exception as exc:
             raise TaskFailure(tid, exc) from exc
 
+    def _first_nonfinite(self, li: int, worker_id: int, job: tuple,
+                         completed: tuple, res: np.ndarray) -> int | None:
+        """The first task of ``completed`` with a NaN/Inf output, if any.
+
+        ``job`` is what ``worker_id`` was sent on level ``li``.  A reply
+        that completed all of it is checked in one ``isfinite`` over an
+        index array kept per (schedule, level, worker) and rebuilt only
+        when a job of that place carries other tasks (a remap, a retry);
+        a reply that fails that check, or completed only part of its
+        job, is scanned task by task.
+        """
+        if completed == job:
+            hit = self._reply_slots.get((li, worker_id))
+            if hit is None or hit[0] != job:
+                hit = (job, np.concatenate([self._slots[t] for t in job]))
+                self._reply_slots[(li, worker_id)] = hit
+            if np.isfinite(res[hit[1]]).all():
+                return None
+        return next((tid for tid in completed
+                     if self._task_nonfinite(tid, res)), None)
+
     # -- the hardened barrier ---------------------------------------------------
 
-    def _run_level(self, level: list[int], assignment, t: float,
+    def _run_level(self, li: int, assignment, t: float,
                    bufs: _Buffers, round_index: int) -> None:
-        """Dispatch one dependency level and survive worker failures.
+        """Dispatch dependency level ``li`` and survive worker failures.
 
         ``outstanding`` maps worker -> tasks currently assigned to it; a
         task bounces original-worker retries -> reassignment -> inline
         before :class:`TaskFailure` is raised.
         """
+        level = self._levels[li]
         healthy = set(self._sweep())
         if self.degraded:
             for tid in level:
@@ -683,18 +709,16 @@ class _PoolExecutor:
 
                 # Validate outputs of everything the worker claims done.
                 bad_output: int | None = None
-                if self.validate_outputs:
-                    for tid in completed:
-                        try:
-                            self._validate_task_outputs(tid, bufs.res)
-                        except _NonFiniteOutput as exc:
-                            bad_output = tid
-                            error = exc
-                            failed_tid = tid
-                            self.events.record(
-                                "task_nonfinite", task=tid, worker=w,
-                            )
-                            break
+                if self.validate_outputs and completed:
+                    bad_output = self._first_nonfinite(
+                        li, w, tuple(task_ids), completed, bufs.res
+                    )
+                if bad_output is not None:
+                    error = _NonFiniteOutput(bad_output)
+                    failed_tid = bad_output
+                    self.events.record(
+                        "task_nonfinite", task=bad_output, worker=w,
+                    )
 
                 if error is None:
                     continue  # worker finished its list cleanly
@@ -774,9 +798,11 @@ class _PoolExecutor:
         # Clear stale measurements so an aborted evaluation can never leave
         # the semi-dynamic LPT scheduling from a mix of rounds.
         self._transport.times[:] = 0.0
+        if schedule is not self._reply_slots_schedule:
+            self._reply_slots_schedule, self._reply_slots = schedule, {}
         try:
-            for level in self._levels:
-                self._run_level(level, schedule.assignment, t, bufs,
+            for li in range(len(self._levels)):
+                self._run_level(li, schedule.assignment, t, bufs,
                                 round_index)
         finally:
             self._transport.gather(res, self.last_task_times)

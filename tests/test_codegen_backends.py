@@ -19,9 +19,13 @@ from repro.codegen import (
     write_start_file,
 )
 from repro.codegen.gen_python import NameTable
+from repro.codegen.native import find_compiler
+from repro.codegen.transform import OdeSystem
 from repro.model import Model, ModelClass
 from repro.schedule import lpt_schedule
 from repro.symbolic import evaluate
+from repro.symbolic.builders import abs_, exp, min_, sin, sqrt
+from repro.symbolic.expr import Sym
 
 
 class TestNameTable:
@@ -250,3 +254,38 @@ class TestProgramFacade:
 
     def test_no_jacobian_by_default(self, compiled_small_bearing):
         assert compiled_small_bearing.program.make_jac() is None
+
+
+#: a model name that the generated text must not hand out (a function it
+#: calls, or a C keyword), and an RHS that uses it
+SHADOWING = {
+    "exp": (lambda s: -exp(s), lambda v: -math.exp(v)),
+    "sin": (lambda s: -sin(s), lambda v: -math.sin(v)),
+    "min": (lambda s: min_(s, 0.25), lambda v: min(v, 0.25)),
+    "abs": (lambda s: -abs_(s), lambda v: -abs(v)),
+    "sqrt": (lambda s: -sqrt(s), lambda v: -math.sqrt(v)),
+    # not a function, but a name C cannot take
+    "double": (lambda s: -s, lambda v: -v),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy", "c"])
+@pytest.mark.parametrize("name", sorted(SHADOWING))
+def test_a_name_never_shadows_a_function(name, backend):
+    if backend == "c" and find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    build, value = SHADOWING[name]
+    # the parameter is named like the generated code's own helper
+    system = OdeSystem(
+        name="shadow", free_var="t", state_names=(name,),
+        param_names=("sign",), rhs=(build(Sym(name)) * Sym("sign"),),
+        start_values=(0.5,), param_values=(1.0,),
+    )
+    program = generate_program(system, backend=backend)
+    assert program.backend == backend
+    assert program.native_fallback_reason is None
+    y = np.array([0.5])
+    assert program.make_rhs()(0.0, y)[0] == value(0.5)
+    if backend == "numpy":
+        batch = program.make_rhs_batch()(0.0, np.array([[0.5], [0.25]]))
+        assert batch[:, 0].tolist() == [value(0.5), value(0.25)]

@@ -35,6 +35,7 @@ from repro.runtime import (
     SerialExecutor,
     ThreadedExecutor,
 )
+from repro.runtime.supervisor import _Job
 from repro.schedule import SemiDynamicScheduler
 
 from .test_runtime_faults import (
@@ -310,6 +311,49 @@ class TestResourceHygiene:
                     os.unlink(os.path.join("/dev/shm", name.lstrip("/")))
                 except OSError:
                     pass
+
+
+class TestReplyPoll:
+    """``replies`` polls one set of pipes registered once."""
+
+    def _sent(self, transport, worker, epoch):
+        """Send ``worker`` an empty job; return once its reply is waiting
+        in the pipe, unread."""
+        assert transport.send(worker, _Job(epoch, 0, 0.0, ()))
+        assert transport._conns[worker].poll(10.0)
+
+    def test_a_reply_nobody_asked_for_is_held_for_the_next_ask(self,
+                                                               program):
+        with ProcessExecutor(program, num_workers=2) as executor:
+            transport = executor._transport
+            self._sent(transport, 1, epoch=7)
+            assert transport.replies([0], 0.05) == []
+            start = time.monotonic()  # held, so its pipe no longer wakes us
+            assert transport.replies([0], 0.1) == []
+            assert time.monotonic() - start >= 0.09
+            ((worker, reply),) = transport.replies([0, 1], 0.05)
+            assert worker == 1 and reply.epoch == 7 and reply.worker == 1
+            assert transport.replies([1], 0.05) == []
+
+    def test_a_hung_up_pipe_leaves_the_poll_set(self, program):
+        with ProcessExecutor(program, num_workers=2) as executor:
+            transport = executor._transport
+            os.kill(transport.procs[1].pid, signal.SIGKILL)
+            transport.procs[1].join(5.0)
+            assert transport.replies([0, 1], 1.0) == [(1, None)]
+            start = time.monotonic()
+            assert transport.replies([0], 0.1) == []
+            assert time.monotonic() - start >= 0.09  # waited, no busy poll
+
+    def test_a_killed_worker_leaves_the_poll_set(self, program):
+        with ProcessExecutor(program, num_workers=2) as executor:
+            transport = executor._transport
+            self._sent(transport, 1, epoch=3)
+            transport.kill(1)
+            transport.procs[1].join(5.0)
+            start = time.monotonic()
+            assert transport.replies([0, 1], 0.1) == []
+            assert time.monotonic() - start >= 0.09
 
 
 class TestRebuildSpec:

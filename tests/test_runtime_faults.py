@@ -42,7 +42,7 @@ from repro.runtime.supervisor import (
     dependency_levels,
     serve,
 )
-from repro.schedule import lpt_schedule
+from repro.schedule import Schedule, lpt_schedule
 from repro.solver import solve_ivp
 from repro.solver.rk import DOPRI_A, DOPRI_C
 
@@ -266,6 +266,116 @@ def test_task_failure_carries_the_worker_side_error(program, pool):
     assert isinstance(excinfo.value.cause, InjectedFault)
 
 
+# -- one finite check per reply ----------------------------------------------
+
+
+def _jobs_of(program, schedule, worker):
+    """``worker``'s task list on each dependency level under ``schedule``,
+    in the order the pool dispatches it."""
+    return [[tid for tid in level if schedule.assignment[tid] == worker]
+            for level in dependency_levels(program.task_graph)]
+
+
+def _long_job(program):
+    """Worker 0's first job of at least five tasks (default schedule)."""
+    schedule = lpt_schedule(program.task_graph, 2)
+    for job in _jobs_of(program, schedule, 0):
+        if len(job) >= 5:
+            return job
+    pytest.skip("no job of five tasks on worker 0")
+
+
+def _event_log(events):
+    return [(e.kind, dict(e.data)) for e in events]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("mode", ["nan", "inf"])
+def test_a_bad_task_inside_a_reply_is_named(program, reference, pool, mode):
+    """NaN/Inf from a task that is not first in its worker's job: the
+    reply's one check fails, the task-by-task scan names that task, and
+    the ladder retries it on the same worker."""
+    tid = _long_job(program)[2]
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=tid, mode=mode, worker=0, count=1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events) as executor:
+        res = _evaluate(executor, program)
+    assert np.array_equal(res, reference)
+    assert _event_log(events) == [
+        ("fault_injected", {"task": tid, "mode": mode, "round": 0,
+                            "worker": 0}),
+        ("task_nonfinite", {"task": tid, "worker": 0}),
+        ("task_retry", {"task": tid, "worker": 0, "attempt": 2}),
+    ]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_the_first_of_two_bad_tasks_is_named(program, reference, pool):
+    job = _long_job(program)
+    first, second = job[2], job[4]
+    events = RuntimeEvents()
+    injector = FaultInjector(
+        [FaultSpec(task_id=second, mode="inf", worker=0, count=1),
+         FaultSpec(task_id=first, mode="nan", worker=0, count=1)],
+        events=events,
+    )
+    with pool(program, 2, injector=injector, events=events) as executor:
+        res = _evaluate(executor, program)
+    assert np.array_equal(res, reference)
+    assert _event_log(events) == [
+        ("fault_injected", {"task": first, "mode": "nan", "round": 0,
+                            "worker": 0}),
+        ("fault_injected", {"task": second, "mode": "inf", "round": 0,
+                            "worker": 0}),
+        ("task_nonfinite", {"task": first, "worker": 0}),
+        ("task_retry", {"task": first, "worker": 0, "attempt": 2}),
+    ]
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_clean_rounds_build_one_index_array_per_job(program, reference,
+                                                     pool):
+    schedule = lpt_schedule(program.task_graph, 2)
+    with pool(program, 2) as executor:
+        for _ in range(3):
+            assert np.array_equal(_evaluate(executor, program), reference)
+        assert executor.events.total_recorded == 0
+        built = dict(executor._reply_slots)
+        expected = {(li, w): job for w in range(2)
+                    for li, job in enumerate(_jobs_of(program, schedule, w))
+                    if job}
+        assert {key: list(job) for key, (job, _) in built.items()} == expected
+        for job, slots in built.values():
+            assert np.array_equal(slots, np.concatenate(
+                [program.task_output_slots(tid) for tid in job]))
+        _evaluate(executor, program)
+        assert all(executor._reply_slots[key][1] is slots
+                   for key, (_, slots) in built.items())
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_a_reschedule_rebuilds_the_index_arrays(program, reference, pool):
+    default = lpt_schedule(program.task_graph, 2)
+    swapped = Schedule(2, tuple(1 - w for w in default.assignment),
+                       default.loads[::-1])
+    with pool(program, 2) as executor:
+        _evaluate(executor, program)
+        before = dict(executor._reply_slots)
+        for schedule in (swapped, default, swapped):
+            res = program.results_buffer()
+            executor.evaluate(0.0, program.start_vector(),
+                              program.param_vector(), res, schedule)
+            assert np.array_equal(res, reference)
+            assert len(executor._reply_slots) == len(before)
+        assert executor.events.total_recorded == 0
+        for (li, w), (job, slots) in executor._reply_slots.items():
+            old_job, old_slots = before[(li, 1 - w)]
+            assert job == old_job and slots is not old_slots
+
+
 # -- the core, driven without workers --------------------------------------------
 
 
@@ -406,6 +516,29 @@ class TestCoreOverFakeTransport:
                           for t in job.tasks) == list(range(program.num_tasks))
             assert pool.events.total_recorded == 0
             assert pool.last_task_times.sum() > 0
+
+    def test_a_job_that_grew_is_checked_in_full(self, program, reference):
+        """Worker 1 dies in round 0, so in round 1 worker 0's job on the
+        same schedule and level carries every task: its one check must
+        cover the tasks it took over as well as its own."""
+        taken = _task_on_worker(program, 2, worker=1)
+        slots = list(program.task_output_slots(taken))
+        poisoned = []
+        kill = dying({1})
+
+        def script(transport, worker, job, reply):
+            if job.round_index == 1 and taken in job.tasks and not poisoned:
+                poisoned.append(job.tasks)
+                transport.bufs.res[slots] = np.nan
+            return kill(transport, worker, job, reply)
+
+        with FakePool(program, 2, script, level_timeout=0.5) as pool:
+            assert np.array_equal(_evaluate(pool, program), reference)
+            assert np.array_equal(_evaluate(pool, program), reference)
+        assert len(poisoned[0]) == program.num_tasks
+        assert pool.events.of_kind("task_nonfinite")[0].data == {
+            "task": taken, "worker": 0,
+        }
 
     def test_ladder_retry_then_reassign_then_inline(self, program, reference):
         tid = _task_on_worker(program, 2, worker=1)
